@@ -1,11 +1,10 @@
-"""Pure-Python enumeration kernels.
+"""Enumeration kernels: the one backend of the enumeration oracle.
 
 Each kernel walks every admissible tuple over the canonical residues [0, n)
 and returns the histogram of a1*x1+...+ak*xk mod n over all of them, so one
-enumeration serves every target b.  The compiled extension implements the
-same five functions with identical semantics; parity is enforced by tests.
-The enumerations are deliberately naive nested descents so they stay easy to
-audit: these are the ground truth the closed forms are judged against.
+enumeration serves every target b.  The enumerations are deliberately naive
+nested descents so they stay easy to audit: these are the ground truth the
+closed forms are judged against.
 """
 
 from __future__ import annotations

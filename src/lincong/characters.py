@@ -218,11 +218,6 @@ def sqrt_mod_prime_power(a: int, p: int, ell: int) -> frozenset[int]:
 
 
 @lru_cache(maxsize=None)
-def _even_square_set(n: int) -> frozenset[int]:
-    return frozenset(x * x % n for x in range(n))
-
-
-@lru_cache(maxsize=None)
 def square_indicator(n: int, b: int) -> int:
     """1 if b is a square modulo n (not necessarily a unit), else 0.
 
@@ -235,16 +230,11 @@ def square_indicator(n: int, b: int) -> int:
     if n == 1:
         return 1
     if n % 2 == 0:
-        return 1 if b in _even_square_set(n) else 0
-    for p, e in factor_pairs(n):
+        return 1 if b in square_profile(n).square_set else 0
+    for p, e in arith.factorize(n).factors:
         if not sqrt_mod_prime_power(b, p, e):
             return 0
     return 1
-
-
-def factor_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime-power pairs of n (thin convenience over factorize)."""
-    return arith.factorize(n).factors
 
 
 @dataclass(frozen=True)

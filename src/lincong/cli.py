@@ -1,6 +1,12 @@
 """Command-line front end: compute any counter, verify formulas against
 oracles over sweeps, and benchmark formula vs oracle evaluation.
 
+One table, MODE_TABLE, holds what the commands know about each mode: how
+count reads its arguments, the counter, the oracle histogram over all
+targets (and a second oracle where there is one), the record fields, the
+verify and bench grids, and the golden values selftest checks.  count,
+verify, bench and the per-mode selftest checks are each one loop over it.
+
 Exit codes: 0 success, 1 selftest/verify mismatch, 2 usage error,
 3 internal-consistency failure.  Records are JSON lines by default or CSV
 with a single header; all output is deterministic for fixed flags (sweep
@@ -17,29 +23,16 @@ import math
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
+from functools import partial
+from typing import Callable, NamedTuple
 
 from . import arith, characters, formulas, oracles
 from .errors import BudgetExceededError, ConsistencyError, DomainError
-from .model import BlockSpec, CongruenceSpec, OracleBudget
-
-MODES = ("all", "square", "strict", "distinct", "blocks", "ramanujan")
+from .model import FORMULA, BlockSpec, CongruenceSpec, OracleBudget
 
 CSV_COLUMNS = (
-    "mode",
-    "n",
-    "k",
-    "a",
-    "b",
-    "blocks",
-    "count",
-    "method",
-    "residual",
-    "wall_time_s",
-    "oracle_count",
-    "oracle_count_alt",
-    "match",
-    "status",
-    "detail",
+    "mode", "n", "k", "a", "b", "blocks", "count", "method", "residual", "wall_time_s",
+    "oracle_count", "oracle_count_alt", "match", "status", "detail",
 )
 
 
@@ -59,15 +52,210 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _parse_blocks(text: str) -> tuple[tuple[int, int], ...]:
-    out = []
-    for piece in text.split(","):
+def _n_list(args, default: tuple[int, ...]) -> tuple[int, ...]:
+    return _parse_ints(args.n_list) if args.n_list else default
+
+
+def _upto(args, default: int) -> range:
+    return range(1, (args.n_max or default) + 1)
+
+
+def _nk(ns, k_max: int):
+    return ((n, k) for n in ns for k in range(1, k_max + 1))
+
+
+# ----------------------------------------------------------------------
+# The mode table.  A mode's ``params`` fix an instance apart from n and b.
+# For the coefficient modes (all, square, strict, distinct) they are
+# (k, coeffs): the coefficients as given when k is None, else k copies of
+# the single coefficient coeffs[0].  blocks takes the block tuple and
+# ramanujan None.  Counters and oracles are looked up on their modules at
+# call time, so a patched or traced function is the one that runs.
+
+
+class _Signed(NamedTuple):
+    """A formula value that may be negative (a Ramanujan sum)."""
+
+    count: int
+    method: str = FORMULA
+    residual: float = 0.0
+
+
+class _Mode(NamedTuple):
+    parse: Callable  # count's arguments -> params; raises UsageError
+    fields: Callable  # (n, params, b) -> record fields k, a or blocks, b
+    count: Callable  # (n, params, b, budget) -> CountResult
+    oracle: Callable  # (n, params, OracleBudget) -> count for every b
+    verify_grid: Callable  # args -> [(n, params)] in lexicographic order
+    golden: tuple  # (n, params, b, count) cases that selftest checks
+    alt_oracle: Callable | None = None  # (n, params) -> second histogram
+    bench_grid: Callable | None = None  # args -> [(n, k, params)], at b = 1
+
+
+def _parse_coeffs(args):
+    if args.a is None or args.b is None:
+        raise UsageError(f"mode {args.mode} requires -a and -b")
+    return None, CongruenceSpec(args.n, _parse_ints(args.a), args.b).coeffs
+
+
+def _parse_strict(args):
+    if args.k is None or args.a is None or args.b is None:
+        raise UsageError("mode strict requires -k, -a (one value) and -b")
+    coeffs = _parse_ints(args.a)
+    if len(coeffs) != 1:
+        raise UsageError("mode strict takes a single shared coefficient")
+    return args.k, coeffs
+
+
+def _parse_distinct(args):
+    if args.a is None or args.b is None:
+        raise UsageError("mode distinct requires -a and -b")
+    coeffs = _parse_ints(args.a)
+    if len(coeffs) == 1 and args.k is not None:
+        return args.k, coeffs
+    return None, CongruenceSpec(args.n, coeffs, args.b).coeffs
+
+
+def _parse_blocks(args):
+    if not args.blocks or args.b is None:
+        raise UsageError("mode blocks requires --blocks and -b")
+    blocks = []
+    for piece in args.blocks.split(","):
         try:
             size, coeff = piece.split(":")
-            out.append((int(size), int(coeff)))
+            blocks.append((int(size), int(coeff)))
         except ValueError as exc:
-            raise UsageError(f"expected size:coeff pairs, got {text!r}") from exc
-    return tuple(out)
+            raise UsageError(f"expected size:coeff pairs, got {args.blocks!r}") from exc
+    return BlockSpec(args.n, blocks, args.b).blocks
+
+
+def _parse_ramanujan(args):
+    if args.b is None:
+        raise UsageError("mode ramanujan requires -b")
+
+
+def _coeff_fields(n, params, b):
+    k, coeffs = params
+    return {"k": len(coeffs) if k is None else k, "a": coeffs, "b": b % n}
+
+
+def _blocks_fields(n, blocks, b):
+    label = ",".join(f"{size}:{coeff}" for size, coeff in blocks)
+    return {"k": sum(size for size, _ in blocks), "blocks": label, "b": b % n}
+
+
+def _coeff_spec(n, params, b):
+    k, coeffs = params
+    return CongruenceSpec(n, coeffs if k is None else coeffs * k, b)
+
+
+def _count_distinct(n, params, b, _budget):
+    k, coeffs = params
+    if k is None:
+        return formulas.distinct_count_gcd_condition(CongruenceSpec(n, coeffs, b))
+    return formulas.distinct_count_equal_coeffs(n, k, coeffs[0], b)
+
+
+def _histogram(restriction: str, spec: Callable = _coeff_spec) -> Callable:
+    """The enumeration oracle for ``restriction`` on spec(n, params, 0)."""
+    return lambda n, params, budget: oracles.oracle_histogram(
+        spec(n, params, 0), restriction, budget
+    )
+
+
+def _coeff_grid(ns, k_max: int, values: Callable):
+    """(n, (None, coeffs)) for every multiset of k <= k_max coefficients
+    drawn from values(n)."""
+    for n, k in _nk(ns, k_max):
+        for coeffs in itertools.combinations_with_replacement(values(n), k):
+            yield n, (None, coeffs)
+
+
+def _blocks_grid(args):
+    pairs = [(s, c) for s in range(1, min(args.k_max or 3, 3) + 1) for c in (1, 2, 3)]
+    for n in _upto(args, 12):
+        for t in (1, 2, 3):
+            for blocks in itertools.combinations_with_replacement(pairs, t):
+                yield n, blocks
+
+
+def _strict_bench(args):
+    n_list = _n_list(args, (100, 1000, 10000))
+    k_list = (5, 10) if args.k_max is None else tuple(range(5, args.k_max + 1, 5)) or (args.k_max,)
+    return [(n, k, (k, (1,))) for n in n_list for k in k_list]
+
+
+MODE_TABLE = {
+    "all": _Mode(
+        parse=_parse_coeffs,
+        fields=_coeff_fields,
+        count=lambda n, p, b, _budget: formulas.lehmer_count(_coeff_spec(n, p, b)),
+        oracle=_histogram("all"),
+        verify_grid=lambda args: _coeff_grid(_upto(args, 12), args.k_max or 3, range),
+        golden=((27, (None, (1, 1)), 1, 27), (4, (None, (2,)), 3, 0), (6, (None, (2, 4)), 4, 12)),
+    ),
+    "square": _Mode(
+        parse=_parse_coeffs,
+        fields=_coeff_fields,
+        count=lambda n, p, b, budget: formulas.square_count(
+            _coeff_spec(n, p, b), OracleBudget(budget)),
+        oracle=_histogram("square"),
+        alt_oracle=lambda n, p: oracles.square_convolution_histogram(n, p[1]),
+        verify_grid=lambda args: _coeff_grid(
+            _n_list(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
+        ),
+        bench_grid=lambda args: [(n, k, (None, (1,) * k)) for n in _n_list(args, (27, 81, 243))
+                                 for k in range(2, (args.k_max or 3) + 1)],
+        golden=((27, (None, (1, 1)), 1, 4), (9, (None, (1, 1)), 3, 0), (9, (None, (1, 1)), 2, 3)),
+    ),
+    "strict": _Mode(
+        parse=_parse_strict,
+        fields=_coeff_fields,
+        count=lambda n, p, b, _budget: formulas.strict_order_count(n, p[0], p[1][0], b),
+        oracle=_histogram("strict-order"),
+        verify_grid=lambda args: (
+            (n, (k, (a,))) for n, k in _nk(_upto(args, 20), args.k_max or 4) for a in range(n)
+        ),
+        bench_grid=_strict_bench,
+        golden=((5, (2, (1,)), 0, 2), (12, (1, (3,)), 6, 3)),
+    ),
+    "distinct": _Mode(
+        parse=_parse_distinct,
+        fields=_coeff_fields,
+        count=_count_distinct,
+        oracle=_histogram("distinct"),
+        verify_grid=lambda args: (
+            (n, params)
+            for n, params in _coeff_grid(_upto(args, 15), args.k_max or 4, range)
+            if formulas.subset_sum_obstruction(n, params[1]) is None
+        ),
+        golden=((5, (2, (1,)), 0, 4), (5, (2, (1,)), 1, 4), (9, (3, (1,)), 0, 60),
+                (5, (None, (1, 4)), 0, 0), (7, (None, (1, 1)), 1, 6),
+                (5, (None, (1, 2, 2)), 0, 20)),
+    ),
+    "blocks": _Mode(
+        parse=_parse_blocks,
+        fields=_blocks_fields,
+        count=lambda n, blocks, b, _budget: formulas.order_blocks_count(BlockSpec(n, blocks, b)),
+        oracle=_histogram("blocks", BlockSpec),
+        verify_grid=_blocks_grid,
+        bench_grid=lambda args: [(n, 4, ((2, 2), (2, 3))) for n in _n_list(args, (8, 12))],
+        # the last three have blocks of size 1: Lehmer's unrestricted counts
+        golden=((6, ((2, 2), (2, 3)), 5, 63), (4, ((2, 1), (2, 3)), 1, 24),
+                (5, ((1, 1), (1, 2), (1, 3)), 4, 25), (6, ((1, 2), (1, 4)), 2, 12),
+                (9, ((1, 3), (1, 6)), 3, 27)),
+    ),
+    "ramanujan": _Mode(
+        parse=_parse_ramanujan,
+        fields=lambda n, _params, b: {"b": b},
+        count=lambda n, _params, b, _budget: _Signed(arith.ramanujan_sum(n, b)),
+        oracle=lambda n, _params, _budget: [arith.ramanujan_sum_direct(n, b) for b in range(n)],
+        verify_grid=lambda args: ((n, None) for n in _upto(args, 200)),
+        golden=((9, None, 3, -3), (6, None, 1, 1)),
+    ),
+}
+
+MODES = tuple(MODE_TABLE)
 
 
 def build_parser() -> _Parser:
@@ -85,12 +273,8 @@ def build_parser() -> _Parser:
         p.add_argument("--n-list", type=str, help="explicit comma-separated moduli")
         p.add_argument("--k-max", type=int, help="sweep bound on k")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument(
-            "--budget",
-            type=int,
-            default=10**8,
-            help="oracle state budget per case; also bounds count's oracle fallback",
-        )
+        p.add_argument("--budget", type=int, default=10**8,
+                       help="oracle state budget per case; also bounds count's oracle fallback")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
     for name in ("count", "verify", "bench"):
@@ -133,84 +317,21 @@ class Emitter:
             print(f"# summary {body}", file=self.stream)
 
 
-def _blocks_repr(blocks) -> str:
-    return ",".join(f"{size}:{coeff}" for size, coeff in blocks)
-
-
 # ----------------------------------------------------------------------
 # count
 
 
 def cmd_count(args) -> int:
-    mode = args.mode
     if args.n is None:
         raise UsageError("count requires -n")
-    n = args.n
+    mode = MODE_TABLE[args.mode]
     t0 = time.perf_counter()
-    rec: dict = {"mode": mode, "n": n}
-    if mode == "ramanujan":
-        if args.b is None:
-            raise UsageError("mode ramanujan requires -b")
-        rec["b"] = args.b
-        rec.update(count=arith.ramanujan_sum(n, args.b), method="formula", residual=0.0)
-    elif mode == "blocks":
-        if not args.blocks or args.b is None:
-            raise UsageError("mode blocks requires --blocks and -b")
-        spec = BlockSpec(n, _parse_blocks(args.blocks), args.b)
-        result = formulas.order_blocks_count(spec)
-        rec.update(
-            k=spec.k,
-            b=spec.b,
-            blocks=_blocks_repr(spec.blocks),
-            count=result.count,
-            method=result.method,
-            residual=result.residual,
-        )
-    elif mode == "strict":
-        if args.k is None or args.a is None or args.b is None:
-            raise UsageError("mode strict requires -k, -a (one value) and -b")
-        coeffs = _parse_ints(args.a)
-        if len(coeffs) != 1:
-            raise UsageError("mode strict takes a single shared coefficient")
-        result = formulas.strict_order_count(n, args.k, coeffs[0], args.b)
-        rec.update(
-            k=args.k,
-            a=coeffs,
-            b=args.b % n,
-            count=result.count,
-            method=result.method,
-            residual=result.residual,
-        )
-    elif mode == "distinct":
-        if args.a is None or args.b is None:
-            raise UsageError("mode distinct requires -a and -b")
-        coeffs = _parse_ints(args.a)
-        if len(coeffs) == 1 and args.k is not None:
-            result = formulas.distinct_count_equal_coeffs(n, args.k, coeffs[0], args.b)
-            rec.update(k=args.k, a=coeffs)
-        else:
-            spec = CongruenceSpec(n, coeffs, args.b)
-            result = formulas.distinct_count_gcd_condition(spec)
-            rec.update(k=spec.k, a=spec.coeffs)
-        rec.update(
-            b=args.b % n, count=result.count, method=result.method, residual=result.residual
-        )
-    else:  # all | square
-        if args.a is None or args.b is None:
-            raise UsageError(f"mode {mode} requires -a and -b")
-        spec = CongruenceSpec(n, _parse_ints(args.a), args.b)
-        if mode == "all":
-            result = formulas.lehmer_count(spec)
-        else:
-            result = formulas.square_count(spec, OracleBudget(args.budget))
-        rec.update(
-            k=spec.k,
-            a=spec.coeffs,
-            b=spec.b,
-            count=result.count,
-            method=result.method,
-            residual=result.residual,
-        )
+    params = mode.parse(args)
+    result = mode.count(args.n, params, args.b, args.budget)
+    rec = {"mode": args.mode, "n": args.n, **mode.fields(args.n, params, args.b)}
+    if "blocks" in rec:  # count has always printed the block label after b
+        rec["blocks"] = rec.pop("blocks")
+    rec.update(count=result.count, method=result.method, residual=result.residual)
     rec["wall_time_s"] = time.perf_counter() - t0
     Emitter(args.format).record(rec)
     return 0
@@ -220,187 +341,48 @@ def cmd_count(args) -> int:
 # verify
 
 
-def _coeff_multisets(values, k: int):
-    return itertools.combinations_with_replacement(values, k)
-
-
-def _verify_cases(args) -> list[tuple]:
-    """Lexicographic case grid for the chosen mode.  Each case checks every
-    target b at once (one oracle enumeration per case)."""
-    mode = args.mode
-    budget = args.budget
-    cases: list[tuple] = []
-    if mode == "ramanujan":
-        n_max = args.n_max or 200
-        for n in range(1, n_max + 1):
-            cases.append(("ramanujan", n, budget))
-    elif mode == "strict":
-        n_max = args.n_max or 20
-        k_max = args.k_max or 4
-        for n in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                for a in range(n):
-                    cases.append(("strict", n, k, a, budget))
-    elif mode == "square":
-        n_list = _parse_ints(args.n_list) if args.n_list else (3, 5, 7, 9, 15, 25, 27, 45)
-        k_max = args.k_max or 3
-        for n in n_list:
-            for k in range(1, k_max + 1):
-                for coeffs in _coeff_multisets((1, 2, 3, 5), k):
-                    cases.append(("square", n, coeffs, budget))
-    elif mode == "distinct":
-        n_max = args.n_max or 15
-        k_max = args.k_max or 4
-        for n in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                for coeffs in _coeff_multisets(range(n), k):
-                    if _distinct_hypothesis_holds(n, coeffs):
-                        cases.append(("distinct", n, coeffs, budget))
-    elif mode == "blocks":
-        n_max = args.n_max or 12
-        size_max = min(args.k_max or 3, 3)
-        pairs = [(s, c) for s in range(1, size_max + 1) for c in (1, 2, 3)]
-        for n in range(1, n_max + 1):
-            for t in (1, 2, 3):
-                for blocks in _coeff_multisets(pairs, t):
-                    cases.append(("blocks", n, blocks, budget))
-    elif mode == "all":
-        n_max = args.n_max or 12
-        k_max = args.k_max or 3
-        for n in range(1, n_max + 1):
-            for k in range(1, k_max + 1):
-                for coeffs in _coeff_multisets(range(n), k):
-                    cases.append(("all", n, coeffs, budget))
-    else:
-        raise UsageError(f"mode {mode!r} has no verify sweep")
-    return cases
-
-
-def _distinct_hypothesis_holds(n: int, coeffs) -> bool:
-    k = len(coeffs)
-    for size in range(1, k):
-        for subset in itertools.combinations(coeffs, size):
-            if math.gcd(sum(subset), n) != 1:
-                return False
-    return True
-
-
 def _case_rows(case: tuple) -> dict:
-    """Run one verify case: returns rows plus mismatch/residual/skip tallies."""
-    mode = case[0]
+    """Run one verify case (mode name, n, params, budget): one oracle
+    histogram checks the counter at every target b.  Returns the rows plus
+    mismatch/residual/skip tallies."""
+    name, n, params, budget = case
+    mode = MODE_TABLE[name]
     rows: list[dict] = []
     mismatches = 0
     max_residual = 0.0
-
-    def emit(rec, oracle, alt=None):
-        nonlocal mismatches, max_residual
-        ok = rec["count"] == oracle and (alt is None or rec["count"] == alt)
-        rec["oracle_count"] = oracle
-        if alt is not None:
-            rec["oracle_count_alt"] = alt
-        rec["match"] = ok
-        rec["status"] = "ok"
-        max_residual = max(max_residual, rec.get("residual") or 0.0)
-        if not ok:
-            mismatches += 1
-        rows.append(rec)
-
     try:
-        if mode == "ramanujan":
-            _, n, _budget = case
-            for b in range(n):
-                t0 = time.perf_counter()
-                value = arith.ramanujan_sum(n, b)
-                dt = time.perf_counter() - t0
-                rec = {"mode": mode, "n": n, "b": b, "count": value,
-                       "method": "formula", "residual": 0.0, "wall_time_s": dt}
-                emit(rec, arith.ramanujan_sum_direct(n, b))
-        elif mode == "strict":
-            _, n, k, a, budget = case
-            hist = oracles.oracle_histogram(
-                CongruenceSpec(n, (a,) * k, 0), "strict-order", OracleBudget(budget)
-            )
-            for b in range(n):
-                t0 = time.perf_counter()
-                res = formulas.strict_order_count(n, k, a, b)
-                dt = time.perf_counter() - t0
-                rec = {"mode": mode, "n": n, "k": k, "a": (a,), "b": b,
-                       "count": res.count, "method": res.method,
-                       "residual": res.residual, "wall_time_s": dt}
-                emit(rec, hist[b])
-        elif mode == "square":
-            _, n, coeffs, budget = case
-            hist = oracles.oracle_histogram(
-                CongruenceSpec(n, coeffs, 0), "square", OracleBudget(budget)
-            )
-            conv = oracles.square_convolution_histogram(n, coeffs)
-            for b in range(n):
-                t0 = time.perf_counter()
-                res = formulas.square_count(
-                    CongruenceSpec(n, coeffs, b), OracleBudget(budget)
-                )
-                dt = time.perf_counter() - t0
-                rec = {"mode": mode, "n": n, "k": len(coeffs), "a": coeffs, "b": b,
-                       "count": res.count, "method": res.method,
-                       "residual": res.residual, "wall_time_s": dt}
-                emit(rec, hist[b], conv[b])
-        elif mode == "distinct":
-            _, n, coeffs, budget = case
-            hist = oracles.oracle_histogram(
-                CongruenceSpec(n, coeffs, 0), "distinct", OracleBudget(budget)
-            )
-            for b in range(n):
-                t0 = time.perf_counter()
-                res = formulas.distinct_count_gcd_condition(CongruenceSpec(n, coeffs, b))
-                dt = time.perf_counter() - t0
-                rec = {"mode": mode, "n": n, "k": len(coeffs), "a": coeffs, "b": b,
-                       "count": res.count, "method": res.method,
-                       "residual": res.residual, "wall_time_s": dt}
-                emit(rec, hist[b])
-        elif mode == "blocks":
-            _, n, blocks, budget = case
-            hist = oracles.oracle_histogram(
-                BlockSpec(n, blocks, 0), "blocks", OracleBudget(budget)
-            )
-            for b in range(n):
-                t0 = time.perf_counter()
-                res = formulas.order_blocks_count(BlockSpec(n, blocks, b))
-                dt = time.perf_counter() - t0
-                rec = {"mode": mode, "n": n, "k": sum(s for s, _ in blocks),
-                       "blocks": _blocks_repr(blocks), "b": b,
-                       "count": res.count, "method": res.method,
-                       "residual": res.residual, "wall_time_s": dt}
-                emit(rec, hist[b])
-        else:  # all
-            _, n, coeffs, budget = case
-            hist = oracles.oracle_histogram(
-                CongruenceSpec(n, coeffs, 0), "all", OracleBudget(budget)
-            )
-            for b in range(n):
-                t0 = time.perf_counter()
-                res = formulas.lehmer_count(CongruenceSpec(n, coeffs, b))
-                dt = time.perf_counter() - t0
-                rec = {"mode": mode, "n": n, "k": len(coeffs), "a": coeffs, "b": b,
-                       "count": res.count, "method": res.method,
-                       "residual": res.residual, "wall_time_s": dt}
-                emit(rec, hist[b])
+        hist = mode.oracle(n, params, OracleBudget(budget))
+        alt = mode.alt_oracle(n, params) if mode.alt_oracle else None
+        for b in range(n):
+            t0 = time.perf_counter()
+            res = mode.count(n, params, b, budget)
+            dt = time.perf_counter() - t0
+            rec = {"mode": name, "n": n, **mode.fields(n, params, b), "count": res.count,
+                   "method": res.method, "residual": res.residual, "wall_time_s": dt,
+                   "oracle_count": hist[b]}
+            ok = res.count == hist[b]
+            if alt is not None:
+                rec["oracle_count_alt"] = alt[b]
+                ok = ok and res.count == alt[b]
+            rec.update(match=ok, status="ok")
+            rows.append(rec)
+            mismatches += not ok
+            max_residual = max(max_residual, res.residual)
     except BudgetExceededError as exc:
-        rows = [{"mode": mode, "n": case[1], "status": "skipped", "detail": str(exc)}]
+        rows = [{"mode": name, "n": n, "status": "skipped", "detail": str(exc)}]
         return {"rows": rows, "mismatches": 0, "max_residual": 0.0, "skipped": 1}
     return {"rows": rows, "mismatches": mismatches, "max_residual": max_residual, "skipped": 0}
 
 
 def cmd_verify(args) -> int:
-    cases = _verify_cases(args)
+    grid = MODE_TABLE[args.mode].verify_grid(args)
+    cases = [(args.mode, n, params, args.budget) for n, params in grid]
     emitter = Emitter(args.format)
-    total_rows = 0
-    mismatches = 0
-    skipped = 0
+    total_rows = mismatches = skipped = 0
     max_residual = 0.0
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            results = pool.map(_case_rows, cases, chunksize=8)
-            outcomes = list(results)
+            outcomes = list(pool.map(_case_rows, cases, chunksize=8))
     else:
         outcomes = map(_case_rows, cases)
     for outcome in outcomes:
@@ -411,14 +393,8 @@ def cmd_verify(args) -> int:
         mismatches += outcome["mismatches"]
         skipped += outcome["skipped"]
         max_residual = max(max_residual, outcome["max_residual"])
-    emitter.summary(
-        {
-            "cases": total_rows,
-            "mismatches": mismatches,
-            "skipped": skipped,
-            "max_residual": max_residual,
-        }
-    )
+    emitter.summary({"cases": total_rows, "mismatches": mismatches, "skipped": skipped,
+                     "max_residual": max_residual})
     return 0 if mismatches == 0 else 1
 
 
@@ -426,70 +402,35 @@ def cmd_verify(args) -> int:
 # bench
 
 
-def _bench_grid(args) -> list[tuple]:
-    mode = args.mode
-    if mode == "strict":
-        n_list = _parse_ints(args.n_list) if args.n_list else (100, 1000, 10000)
-        k_list = (5, 10) if args.k_max is None else tuple(range(5, args.k_max + 1, 5)) or (args.k_max,)
-        return [("strict", n, k) for n in n_list for k in k_list]
-    if mode == "square":
-        n_list = _parse_ints(args.n_list) if args.n_list else (27, 81, 243)
-        k_max = args.k_max or 3
-        return [("square", n, k) for n in n_list for k in range(2, k_max + 1)]
-    if mode == "blocks":
-        n_list = _parse_ints(args.n_list) if args.n_list else (8, 12)
-        return [("blocks", n, 4) for n in n_list]
-    raise UsageError(f"mode {mode!r} has no benchmark grid")
-
-
-def _bench_case(case: tuple, budget: int) -> dict:
-    mode, n, k = case
-    if mode == "strict":
-        t0 = time.perf_counter()
-        formulas.strict_order_count(n, k, 1, 1)
-        t_formula = time.perf_counter() - t0
-        spec = CongruenceSpec(n, (1,) * k, 1)
-        restriction = "strict-order"
-    elif mode == "square":
-        spec = CongruenceSpec(n, (1,) * k, 1)
-        t0 = time.perf_counter()
-        formulas.square_count(spec, OracleBudget(budget))
-        t_formula = time.perf_counter() - t0
-        restriction = "square"
-    else:
-        spec = BlockSpec(n, ((2, 2), (2, 3)), 1)
-        t0 = time.perf_counter()
-        formulas.order_blocks_count(spec)
-        t_formula = time.perf_counter() - t0
-        restriction = "blocks"
-    rec = {"mode": mode, "n": n, "k": k, "t_formula_s": t_formula}
+def _timed(fn, *args) -> float | None:
+    """Seconds one call of fn takes, or None when it exceeds its budget."""
+    t0 = time.perf_counter()
     try:
-        t0 = time.perf_counter()
-        oracles.oracle_count(spec, restriction, OracleBudget(budget))
-        rec["t_oracle_s"] = time.perf_counter() - t0
-        rec["speedup"] = rec["t_oracle_s"] / t_formula if t_formula > 0 else math.inf
+        fn(*args)
     except BudgetExceededError:
-        rec["t_oracle_s"] = None
-        rec["speedup"] = None
-    return rec
+        return None
+    return time.perf_counter() - t0
+
+
+def _fixed(value: float | None, digits: int) -> str:
+    return "" if value is None else f"{value:.{digits}f}"
 
 
 def cmd_bench(args) -> int:
-    grid = _bench_grid(args)
+    mode = MODE_TABLE[args.mode]
+    if mode.bench_grid is None:
+        raise UsageError(f"mode {args.mode!r} has no benchmark grid")
+    grid = mode.bench_grid(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "k", "mode", "t_formula_s", "t_oracle_s", "speedup"])
-    for case in grid:
-        rec = _bench_case(case, args.budget)
-        writer.writerow(
-            [
-                rec["n"],
-                rec["k"],
-                rec["mode"],
-                f"{rec['t_formula_s']:.6f}",
-                "" if rec["t_oracle_s"] is None else f"{rec['t_oracle_s']:.6f}",
-                "" if rec["speedup"] is None else f"{rec['speedup']:.2f}",
-            ]
-        )
+    for n, k, params in grid:
+        t_formula = _timed(mode.count, n, params, 1, args.budget)
+        t_oracle = _timed(mode.oracle, n, params, OracleBudget(args.budget))
+        speedup = None
+        if t_formula is not None and t_oracle is not None:
+            speedup = t_oracle / t_formula if t_formula > 0 else math.inf
+        times = (_fixed(t_formula, 6), _fixed(t_oracle, 6), _fixed(speedup, 2))
+        writer.writerow([n, k, args.mode, *times])
     return 0
 
 
@@ -497,9 +438,16 @@ def cmd_bench(args) -> int:
 # selftest
 
 
-def _selftest_checks():
-    import cmath
+def _check_golden(mode: _Mode) -> None:
+    """The counter and every oracle of ``mode`` give its golden values."""
+    for n, params, b, expected in mode.golden:
+        values = [mode.count(n, params, b, 10**8).count, mode.oracle(n, params, OracleBudget())[b]]
+        if mode.alt_oracle:
+            values.append(mode.alt_oracle(n, params)[b])
+        assert values == [expected] * len(values), (n, params, b, values)
 
+
+def _selftest_checks():
     sqrt3 = math.sqrt(3)
 
     def close(x, y, tol=1e-9):
@@ -508,11 +456,6 @@ def _selftest_checks():
     def check_epsilon():
         assert arith.epsilon(5) == 1 and arith.epsilon(1) == 1
         assert arith.epsilon(3) == 1j and arith.epsilon(7) == 1j
-
-    def check_gauss_primitive():
-        assert close(characters.gauss_sum_real_primitive(3), 1j * sqrt3)
-        assert close(characters.gauss_sum_real_primitive(5), math.sqrt(5))
-        assert close(characters.gauss_sum_real_primitive(1), 1)
 
     def check_gauss_closed():
         chi3 = characters.legendre_character(3, 3)
@@ -528,13 +471,6 @@ def _selftest_checks():
                     closed = characters.gauss_sum_real_prime_power(p, ell, m)
                     assert abs(direct - closed) < 1e-6, (p, ell, m)
 
-    def check_ramanujan():
-        assert arith.ramanujan_sum(9, 3) == -3
-        assert arith.ramanujan_sum_direct(6, 1) == 1
-        for n in range(1, 61):
-            for b in range(n):
-                assert arith.ramanujan_sum(n, b) == arith.ramanujan_sum_direct(n, b)
-
     def check_square_roots():
         assert characters.sqrt_mod_prime_power(1, 3, 3) == frozenset({1, 26})
         assert characters.sqrt_mod_prime_power(9, 3, 3) == frozenset({3, 6, 12, 15, 21, 24})
@@ -543,75 +479,19 @@ def _selftest_checks():
         assert characters.square_profile(3).s == 2
         assert characters.square_profile(27).s == 11
 
-    def check_square_counts():
-        assert formulas.square_count(CongruenceSpec(27, (1, 1), 1)).count == 4
-        assert formulas.square_count(CongruenceSpec(9, (1, 1), 3)).count == 0
-        assert formulas.square_count(CongruenceSpec(9, (1, 1), 2)).count == 3
+    def check_square_corollary_and_witnesses():
         corollary = formulas.square_count_corollary(3, 2, CongruenceSpec(9, (1, 1), 2))
         assert corollary.count == 3
         witnesses = oracles.oracle_solutions(CongruenceSpec(27, (1, 1), 1), "square")
         assert set(witnesses) == {(1, 0), (0, 1), (9, 19), (19, 9)}
 
-    def check_blocks():
-        assert formulas.order_blocks_count(BlockSpec(6, ((2, 2), (2, 3)), 5)).count == 63
-        assert formulas.order_blocks_count(BlockSpec(4, ((2, 1), (2, 3)), 1)).count == 24
-        for n, coeffs, b in ((5, (1, 2, 3), 4), (6, (2, 4), 2), (9, (3, 6), 3)):
-            blocks = tuple((1, a) for a in coeffs)
-            res = formulas.order_blocks_count(BlockSpec(n, blocks, b))
-            ref = formulas.lehmer_count(CongruenceSpec(n, coeffs, b))
-            assert res.count == ref.count, (n, coeffs, b)
-
-    def check_ordered():
-        assert formulas.strict_order_count(5, 2, 1, 0).count == 2
-        assert formulas.strict_order_count(12, 1, 3, 6).count == 3
-        assert formulas.distinct_count_equal_coeffs(5, 2, 1, 0).count == 4
-        assert formulas.distinct_count_equal_coeffs(5, 2, 1, 1).count == 4
-        assert formulas.distinct_count_equal_coeffs(9, 3, 1, 0).count == 60
-        assert formulas.distinct_count_gcd_condition(CongruenceSpec(5, (1, 4), 0)).count == 0
-        assert formulas.distinct_count_gcd_condition(CongruenceSpec(7, (1, 1), 1)).count == 6
-        assert formulas.distinct_count_gcd_condition(CongruenceSpec(5, (1, 2, 2), 0)).count == 20
-
-    def check_lehmer():
-        assert formulas.lehmer_count(CongruenceSpec(27, (1, 1), 1)).count == 27
-        assert formulas.lehmer_count(CongruenceSpec(4, (2,), 3)).count == 0
-        assert formulas.lehmer_count(CongruenceSpec(6, (2, 4), 4)).count == 12
-
-    def check_decomposition():
-        for p in (3, 5):
-            for ell in (1, 2):
-                for m in range(p**ell):
-                    lhs, rhs = characters.square_decomposition_identity(p, ell, m)
-                    assert abs(lhs - rhs) < 1e-6, (p, ell, m)
-
-    def check_product_identity():
-        for n in range(1, 9):
-            for a in range(n):
-                for m in range(n):
-                    assert characters.product_identity_check(n, a, m) < 1e-6, (n, a, m)
-
-    def check_dft_roundtrip():
-        values = (2, -1, 5, 0, 3, 7, 1, -4, 2, 0, 1, 9)
-        f = characters.PeriodicFunction(values)
-        fhat = characters.PeriodicFunction(tuple(characters.dft(f, b) for b in range(12)))
-        for b in range(12):
-            assert abs(characters.idft(fhat, b) - values[b]) < 1e-9
-        units9 = characters.PeriodicFunction(tuple(int(math.gcd(j, 9) == 1) for j in range(9)))
-        assert abs(characters.dft(units9, 3) - (-3)) < 1e-9
-        assert close(cmath.exp(0), arith.root_of_unity(0, 5))
-
     return [
         ("epsilon-values", check_epsilon),
-        ("gauss-real-primitive", check_gauss_primitive),
         ("gauss-closed-forms", check_gauss_closed),
-        ("ramanujan-sums", check_ramanujan),
         ("square-roots-and-profiles", check_square_roots),
-        ("square-solution-counts", check_square_counts),
-        ("block-order-counts", check_blocks),
-        ("ordered-and-distinct-counts", check_ordered),
-        ("unrestricted-counts", check_lehmer),
-        ("square-decomposition-identity", check_decomposition),
-        ("exponential-product-identity", check_product_identity),
-        ("dft-roundtrip", check_dft_roundtrip),
+        ("square-corollary-and-witnesses", check_square_corollary_and_witnesses),
+        *((f"{name}-golden-counts", partial(_check_golden, entry))
+          for name, entry in MODE_TABLE.items()),
     ]
 
 
@@ -635,13 +515,8 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if args.command == "count":
-            return cmd_count(args)
-        if args.command == "verify":
-            return cmd_verify(args)
-        if args.command == "bench":
-            return cmd_bench(args)
-        return cmd_selftest(args)
+        commands = {"count": cmd_count, "verify": cmd_verify, "bench": cmd_bench}
+        return commands.get(args.command, cmd_selftest)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -267,6 +267,19 @@ def distinct_count_equal_coeffs(n: int, k: int, a: int, b: int) -> CountResult:
     return CountResult(math.factorial(k) * ordered.count, ordered.method)
 
 
+def subset_sum_obstruction(n: int, coeffs) -> tuple[tuple[int, ...], int] | None:
+    """The first proper nonempty subset of coefficient positions (smallest
+    size first, then lexicographic) whose coefficient sum s has gcd(s, n) > 1,
+    as (positions, s); None when the distinct-count hypothesis holds."""
+    k = len(coeffs)
+    for size in range(1, k):
+        for subset in itertools.combinations(range(k), size):
+            s = sum(coeffs[i] for i in subset)
+            if math.gcd(s, n) != 1:
+                return subset, s
+    return None
+
+
 def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
     """Distinct-solution count when every proper nonempty subset of the
     coefficients has sum coprime to n.
@@ -281,13 +294,10 @@ def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
     n, k = spec.n, spec.k
     if k > 20:
         raise DomainError(f"subset hypothesis check limited to k <= 20, got {k}")
-    for size in range(1, k):
-        for subset in itertools.combinations(range(k), size):
-            s = sum(spec.coeffs[i] for i in subset)
-            if math.gcd(s, n) != 1:
-                raise DomainError(
-                    f"subset {subset} has sum {s} with gcd({s}, {n}) > 1"
-                )
+    obstruction = subset_sum_obstruction(n, spec.coeffs)
+    if obstruction is not None:
+        subset, s = obstruction
+        raise DomainError(f"subset {subset} has sum {s} with gcd({s}, {n}) > 1")
     if k > n:
         return CountResult(0, FORMULA)
     g = math.gcd(sum(spec.coeffs), n)

@@ -1,12 +1,12 @@
 """Independent ground-truth counters.
 
 Two unrelated methods live here so that a bug in one cannot mask a bug in the
-closed forms: exhaustive enumeration (via the kernel backends) and a
-generating-function oracle in a cyclic polynomial ring.  A third, convolution
-of square-indicator vectors, double-checks the square restriction.  All
-enumeration is budgeted up front: the state count (the product of per-slot
-domain sizes) is charged before anything runs, so a budget failure can never
-yield a wrong count.
+closed forms: exhaustive enumeration (the pure-Python kernels of _kernels_py,
+the only backend) and a generating-function oracle in a cyclic polynomial
+ring.  A third, convolution of square-indicator vectors, double-checks the
+square restriction.  All enumeration is budgeted up front: the state count
+(the product of per-slot domain sizes) is charged before anything runs, so a
+budget failure can never yield a wrong count.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from . import characters, kernels
+from . import _kernels_py, characters
 from .errors import ConsistencyError, DomainError
 from .model import BlockSpec, CongruenceSpec, OracleBudget
 
@@ -69,15 +69,15 @@ def oracle_histogram(
     budget.charge(state_count(spec, restriction))
     n = spec.n
     if restriction == "blocks":
-        return kernels.hist_blocks(n, spec.sizes, spec.coeffs)
+        return _kernels_py.hist_blocks(n, spec.sizes, spec.coeffs)
     if restriction == "all":
-        return kernels.hist_all(n, spec.coeffs)
+        return _kernels_py.hist_all(n, spec.coeffs)
     if restriction == "strict-order":
-        return kernels.hist_strict(n, spec.coeffs)
+        return _kernels_py.hist_strict(n, spec.coeffs)
     if restriction == "distinct":
-        return kernels.hist_distinct(n, spec.coeffs)
+        return _kernels_py.hist_distinct(n, spec.coeffs)
     domain = sorted(characters.square_profile(n).square_set)
-    return kernels.hist_domain(n, spec.coeffs, domain)
+    return _kernels_py.hist_domain(n, spec.coeffs, domain)
 
 
 def oracle_count(

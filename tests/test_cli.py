@@ -149,18 +149,75 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     assert json_lines(out)[-1]["mismatches"] > 0
 
 
-def test_verify_jobs_matches_serial(capsys):
-    def strip_timing(records):
-        return [
-            {key: value for key, value in rec.items() if key != "wall_time_s"}
-            for rec in records
-        ]
+def strip_timing(records):
+    return [{key: value for key, value in rec.items() if key != "wall_time_s"} for rec in records]
 
-    _, serial, _ = run_cli(["verify", "--mode", "strict", "--n-max", "5", "--k-max", "2"], capsys)
-    _, parallel, _ = run_cli(
-        ["verify", "--mode", "strict", "--n-max", "5", "--k-max", "2", "--jobs", "2"], capsys
-    )
-    assert strip_timing(json_lines(serial)) == strip_timing(json_lines(parallel))
+
+# Grid flags small enough for every mode; --budget 20 turns the larger cases
+# of some modes into skip rows.
+TINY_GRID = ["--n-max", "5", "--k-max", "2", "--n-list", "3,8", "--budget", "20"]
+
+
+def test_verify_jobs_matches_serial(capsys):
+    for mode in cli.MODES:
+        argv = ["verify", "--mode", mode, *TINY_GRID]
+        serial = run_cli(argv, capsys)
+        parallel = run_cli(argv + ["--jobs", "2"], capsys)
+        assert serial[0] == parallel[0] == 0, mode
+        assert strip_timing(json_lines(serial[1])) == strip_timing(json_lines(parallel[1])), mode
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_verify_csv_matches_json(mode, capsys):
+    argv = ["verify", "--mode", mode, *TINY_GRID]
+    _, as_json, _ = run_cli(argv, capsys)
+    _, as_csv, _ = run_cli(argv + ["--format", "csv"], capsys)
+    *records, summary = json_lines(as_json)
+    *rows, summary_line = as_csv.strip().splitlines()
+    parsed = list(csv.reader(io.StringIO("\n".join(rows) + "\n")))
+    assert parsed[0] == list(cli.CSV_COLUMNS)
+    assert list(cli.CSV_COLUMNS) not in parsed[1:]
+    assert len(parsed) == len(records) + 1
+    timing = cli.CSV_COLUMNS.index("wall_time_s")
+    for rec, row in zip(records, parsed[1:]):
+        expected = []
+        for col in cli.CSV_COLUMNS:
+            val = rec.get(col)
+            if val is None:
+                expected.append("")
+            elif isinstance(val, list):
+                expected.append(" ".join(map(str, val)))
+            else:
+                expected.append(str(val))
+        expected[timing] = row[timing]
+        assert row == expected
+    assert summary_line == "# summary " + " ".join(f"{k}={v}" for k, v in summary.items())
+
+
+# One small instance per mode, with the verify flags whose grid contains it.
+COUNT_IN_VERIFY = {
+    "all": (["-n", "6", "-a", "2,4", "-b", "4"], ["--n-max", "6", "--k-max", "2"]),
+    "square": (["-n", "9", "-a", "1,2", "-b", "3"], ["--n-list", "9", "--k-max", "2"]),
+    "strict": (["-n", "5", "-k", "2", "-a", "1", "-b", "0"], ["--n-max", "5", "--k-max", "2"]),
+    "distinct": (["-n", "7", "-a", "1,1", "-b", "1"], ["--n-max", "7", "--k-max", "2"]),
+    "blocks": (["-n", "6", "--blocks", "2:2,2:3", "-b", "5"], ["--n-max", "6", "--k-max", "2"]),
+    "ramanujan": (["-n", "9", "-b", "3"], ["--n-max", "9"]),
+}
+
+
+@pytest.mark.parametrize("mode", cli.MODES)
+def test_count_matches_verify_row(mode, capsys):
+    assert set(COUNT_IN_VERIFY) == set(cli.MODES)
+    count_args, verify_args = COUNT_IN_VERIFY[mode]
+    code, out, _ = run_cli(["count", "--mode", mode, *count_args], capsys)
+    assert code == 0
+    (rec,) = json_lines(out)
+    code, out, _ = run_cli(["verify", "--mode", mode, *verify_args], capsys)
+    assert code == 0
+    key = ("n", "k", "a", "blocks", "b")
+    (row,) = [r for r in json_lines(out)[:-1] if all(r.get(f) == rec.get(f) for f in key)]
+    for field in ("count", "method", "residual"):
+        assert row[field] == rec[field], field
 
 
 def test_bench_csv_shape(capsys):
@@ -171,6 +228,17 @@ def test_bench_csv_shape(capsys):
     by_n = {row[0]: row for row in rows[1:]}
     assert by_n["30"][4] != ""  # within budget: oracle timed
     assert by_n["10000"][4] == ""  # over budget: oracle skipped
+
+
+def test_bench_formula_over_budget_gives_empty_row(capsys):
+    # n = 8 is even, so the square formula falls back to the oracle, which
+    # does not fit in one state: the case gets a row with no times, not an abort
+    code, out, _ = run_cli(
+        ["bench", "--mode", "square", "--n-list", "8", "--k-max", "2", "--budget", "1"], capsys
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert rows[1:] == [["8", "2", "square", "", "", ""]]
 
 
 def test_selftest_passes_and_is_deterministic():

@@ -1,67 +1,8 @@
-"""Parity between the compiled enumeration kernels and the pure fallback."""
+"""The enumeration kernels behind the oracle: totals and degenerate sizes."""
 
 import math
-import random
 
-import pytest
-
-from lincong import _kernels_py
-from lincong import kernels
-
-try:
-    from lincong import _kernels_cy
-except ImportError:
-    _kernels_cy = None
-
-needs_compiled = pytest.mark.skipif(
-    _kernels_cy is None, reason="compiled kernel extension not built"
-)
-
-
-def _random_cases(seed=20240613, count=40):
-    rng = random.Random(seed)
-    cases = []
-    for _ in range(count):
-        n = rng.randint(1, 14)
-        k = rng.randint(1, 4)
-        coeffs = tuple(rng.randrange(n) for _ in range(k))
-        cases.append((n, coeffs))
-    return cases
-
-
-@needs_compiled
-@pytest.mark.parametrize("fn", ["hist_all", "hist_strict", "hist_distinct"])
-def test_parity_simple_kernels(fn):
-    for n, coeffs in _random_cases():
-        pure = getattr(_kernels_py, fn)(n, coeffs)
-        fast = getattr(_kernels_cy, fn)(n, coeffs)
-        assert pure == fast, (fn, n, coeffs)
-
-
-@needs_compiled
-def test_parity_blocks():
-    rng = random.Random(7)
-    for _ in range(30):
-        n = rng.randint(1, 10)
-        t = rng.randint(1, 3)
-        sizes = tuple(rng.randint(1, 3) for _ in range(t))
-        coeffs = tuple(rng.randrange(n) for _ in range(t))
-        pure = _kernels_py.hist_blocks(n, sizes, coeffs)
-        fast = _kernels_cy.hist_blocks(n, sizes, coeffs)
-        assert pure == fast, (n, sizes, coeffs)
-
-
-@needs_compiled
-def test_parity_domain():
-    rng = random.Random(99)
-    for _ in range(30):
-        n = rng.randint(1, 12)
-        k = rng.randint(1, 3)
-        coeffs = tuple(rng.randrange(n) for _ in range(k))
-        domain = sorted(rng.sample(range(n), rng.randint(0, n)))
-        pure = _kernels_py.hist_domain(n, coeffs, domain)
-        fast = _kernels_cy.hist_domain(n, coeffs, domain)
-        assert pure == fast, (n, coeffs, domain)
+from lincong import _kernels_py as kernels
 
 
 def test_histogram_totals():
@@ -81,7 +22,3 @@ def test_histogram_totals():
 def test_strict_more_vars_than_residues():
     assert kernels.hist_strict(3, (1, 1, 1, 1)) == [0, 0, 0]
     assert kernels.hist_distinct(2, (1, 1, 1)) == [0, 0]
-
-
-def test_backend_reports():
-    assert kernels.BACKEND in ("compiled", "pure")
