@@ -52,12 +52,18 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-def _n_list(args, default: tuple[int, ...]) -> tuple[int, ...]:
-    return _parse_ints(args.n_list) if args.n_list else default
-
-
-def _upto(args, default: int) -> range:
-    return range(1, (args.n_max or default) + 1)
+def _moduli(args, default) -> tuple[int, ...] | range:
+    """The moduli of a verify or bench grid: --n-list when given, else
+    1..--n-max when given, else the mode's ``default``."""
+    if args.n_list is not None:
+        ns = _parse_ints(args.n_list)
+    elif args.n_max is not None:
+        ns = range(1, args.n_max + 1)
+    else:
+        ns = default
+    if any(n < 1 for n in ns):
+        raise UsageError(f"moduli must be >= 1, got {args.n_list or args.n_max}")
+    return ns
 
 
 def _nk(ns, k_max: int):
@@ -157,7 +163,7 @@ def _count_distinct(n, params, b, _budget):
 
 
 def _histogram(restriction: str, spec: Callable = _coeff_spec) -> Callable:
-    """The enumeration oracle for ``restriction`` on spec(n, params, 0)."""
+    """The oracle histogram for ``restriction`` on spec(n, params, 0)."""
     return lambda n, params, budget: oracles.oracle_histogram(
         spec(n, params, 0), restriction, budget
     )
@@ -173,14 +179,14 @@ def _coeff_grid(ns, k_max: int, values: Callable):
 
 def _blocks_grid(args):
     pairs = [(s, c) for s in range(1, min(args.k_max or 3, 3) + 1) for c in (1, 2, 3)]
-    for n in _upto(args, 12):
+    for n in _moduli(args, range(1, 13)):
         for t in (1, 2, 3):
             for blocks in itertools.combinations_with_replacement(pairs, t):
                 yield n, blocks
 
 
 def _strict_bench(args):
-    n_list = _n_list(args, (100, 1000, 10000))
+    n_list = _moduli(args, (100, 1000, 10000))
     k_list = (5, 10) if args.k_max is None else tuple(range(5, args.k_max + 1, 5)) or (args.k_max,)
     return [(n, k, (k, (1,))) for n in n_list for k in k_list]
 
@@ -191,7 +197,7 @@ MODE_TABLE = {
         fields=_coeff_fields,
         count=lambda n, p, b, _budget: formulas.lehmer_count(_coeff_spec(n, p, b)),
         oracle=_histogram("all"),
-        verify_grid=lambda args: _coeff_grid(_upto(args, 12), args.k_max or 3, range),
+        verify_grid=lambda args: _coeff_grid(_moduli(args, range(1, 13)), args.k_max or 3, range),
         golden=((27, (None, (1, 1)), 1, 27), (4, (None, (2,)), 3, 0), (6, (None, (2, 4)), 4, 12)),
     ),
     "square": _Mode(
@@ -202,9 +208,9 @@ MODE_TABLE = {
         oracle=_histogram("square"),
         alt_oracle=lambda n, p: oracles.square_convolution_histogram(n, p[1]),
         verify_grid=lambda args: _coeff_grid(
-            _n_list(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
+            _moduli(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
         ),
-        bench_grid=lambda args: [(n, k, (None, (1,) * k)) for n in _n_list(args, (27, 81, 243))
+        bench_grid=lambda args: [(n, k, (None, (1,) * k)) for n in _moduli(args, (27, 81, 243))
                                  for k in range(2, (args.k_max or 3) + 1)],
         golden=((27, (None, (1, 1)), 1, 4), (9, (None, (1, 1)), 3, 0), (9, (None, (1, 1)), 2, 3)),
     ),
@@ -214,7 +220,8 @@ MODE_TABLE = {
         count=lambda n, p, b, _budget: formulas.strict_order_count(n, p[0], p[1][0], b),
         oracle=_histogram("strict-order"),
         verify_grid=lambda args: (
-            (n, (k, (a,))) for n, k in _nk(_upto(args, 20), args.k_max or 4) for a in range(n)
+            (n, (k, (a,)))
+            for n, k in _nk(_moduli(args, range(1, 21)), args.k_max or 4) for a in range(n)
         ),
         bench_grid=_strict_bench,
         golden=((5, (2, (1,)), 0, 2), (12, (1, (3,)), 6, 3)),
@@ -226,7 +233,7 @@ MODE_TABLE = {
         oracle=_histogram("distinct"),
         verify_grid=lambda args: (
             (n, params)
-            for n, params in _coeff_grid(_upto(args, 15), args.k_max or 4, range)
+            for n, params in _coeff_grid(_moduli(args, range(1, 16)), args.k_max or 4, range)
             if formulas.subset_sum_obstruction(n, params[1]) is None
         ),
         golden=((5, (2, (1,)), 0, 4), (5, (2, (1,)), 1, 4), (9, (3, (1,)), 0, 60),
@@ -239,7 +246,7 @@ MODE_TABLE = {
         count=lambda n, blocks, b, _budget: formulas.order_blocks_count(BlockSpec(n, blocks, b)),
         oracle=_histogram("blocks", BlockSpec),
         verify_grid=_blocks_grid,
-        bench_grid=lambda args: [(n, 4, ((2, 2), (2, 3))) for n in _n_list(args, (8, 12))],
+        bench_grid=lambda args: [(n, 4, ((2, 2), (2, 3))) for n in _moduli(args, (8, 12))],
         # the last three have blocks of size 1: Lehmer's unrestricted counts
         golden=((6, ((2, 2), (2, 3)), 5, 63), (4, ((2, 1), (2, 3)), 1, 24),
                 (5, ((1, 1), (1, 2), (1, 3)), 4, 25), (6, ((1, 2), (1, 4)), 2, 12),
@@ -250,7 +257,7 @@ MODE_TABLE = {
         fields=lambda n, _params, b: {"b": b},
         count=lambda n, _params, b, _budget: _Signed(arith.ramanujan_sum(n, b)),
         oracle=lambda n, _params, _budget: [arith.ramanujan_sum_direct(n, b) for b in range(n)],
-        verify_grid=lambda args: ((n, None) for n in _upto(args, 200)),
+        verify_grid=lambda args: ((n, None) for n in _moduli(args, range(1, 201))),
         golden=((9, None, 3, -3), (6, None, 1, 1)),
     ),
 }
@@ -270,11 +277,13 @@ def build_parser() -> _Parser:
         p.add_argument("--blocks", type=str, help="size:coeff pairs, e.g. 2:2,2:3")
         p.add_argument("--mode", choices=MODES, default="all")
         p.add_argument("--n-max", type=int, help="sweep bound on the modulus")
-        p.add_argument("--n-list", type=str, help="explicit comma-separated moduli")
+        p.add_argument("--n-list", type=str,
+                       help="explicit comma-separated moduli; wins over --n-max")
         p.add_argument("--k-max", type=int, help="sweep bound on k")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--budget", type=int, default=10**8,
-                       help="oracle state budget per case; also bounds count's oracle fallback")
+                       help="most tuples an oracle histogram may count per case, charged "
+                            "before it is built; also bounds count's oracle fallback")
         p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
 
     for name in ("count", "verify", "bench"):
@@ -327,8 +336,12 @@ def cmd_count(args) -> int:
     mode = MODE_TABLE[args.mode]
     t0 = time.perf_counter()
     params = mode.parse(args)
-    result = mode.count(args.n, params, args.b, args.budget)
     rec = {"mode": args.mode, "n": args.n, **mode.fields(args.n, params, args.b)}
+    if args.k is not None and args.k != rec.get("k"):
+        if "k" not in rec:
+            raise UsageError(f"mode {args.mode} takes no -k")
+        raise UsageError(f"-k {args.k} disagrees with the instance, which has k = {rec['k']}")
+    result = mode.count(args.n, params, args.b, args.budget)
     if "blocks" in rec:  # count has always printed the block label after b
         rec["blocks"] = rec.pop("blocks")
     rec.update(count=result.count, method=result.method, residual=result.residual)

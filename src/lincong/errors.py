@@ -12,5 +12,6 @@ class ConsistencyError(ArithmeticError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An enumeration oracle would exceed its state budget.  Raised before any
-    enumeration happens, so a partial (wrong) count is never returned."""
+    """An oracle histogram would count more tuples than its budget allows.
+    Raised before the histogram is built, so a partial (wrong) count is
+    never returned."""

@@ -4,8 +4,8 @@ Each counter returns a CountResult whose count is exact.  Divisor-sum
 formulas (strict order, distinct, common-gcd blocks) run in all-integer or
 exact-rational arithmetic; the square counter and the general block counter
 accumulate complex roots of unity and round at the end, recording the
-rounding residual.  Every counter is verified against independent
-enumeration oracles in the test suite.
+rounding residual.  Every counter is verified against the independent
+oracle histograms in the test suite.
 """
 
 from __future__ import annotations

@@ -87,8 +87,9 @@ class CountResult:
 
 @dataclass
 class OracleBudget:
-    """State budget for enumeration oracles.  ``charge`` is called with the
-    full state count of an enumeration before it starts, so the budget can
+    """Budget for the oracle histograms, in tuples counted.  ``charge`` is
+    called with the number of tuples a restriction admits (a "state" each,
+    oracles.state_count) before the histogram is built, so the budget can
     never be exceeded mid-run and failed calls never return partial counts."""
 
     max_states: int = 10**8

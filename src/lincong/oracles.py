@@ -1,20 +1,24 @@
 """Independent ground-truth counters.
 
 Two unrelated methods live here so that a bug in one cannot mask a bug in the
-closed forms: exhaustive enumeration (the pure-Python kernels of _kernels_py,
-the only backend) and a generating-function oracle in a cyclic polynomial
-ring.  A third, convolution of square-indicator vectors, double-checks the
-square restriction.  All enumeration is budgeted up front: the state count
-(the product of per-slot domain sizes) is charged before anything runs, so a
-budget failure can never yield a wrong count.
+closed forms: exact histograms built by counting (cyclic convolution of
+per-slot count vectors, a transfer DP for strict order, and plain
+enumeration for distinct and square solutions) and a generating-function
+oracle in a cyclic polynomial ring.  A third, convolution of
+square-indicator vectors, double-checks the square enumeration.  Every
+histogram is budgeted up front: the number of tuples the restriction admits
+(state_count) is charged before anything is built, so a budget failure can
+never yield a wrong count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
+from operator import add
 
-from . import _kernels_py, characters
+from . import characters
 from .errors import ConsistencyError, DomainError
 from .model import BlockSpec, CongruenceSpec, OracleBudget
 
@@ -31,7 +35,8 @@ def _normalize(restriction: str) -> str:
 
 
 def state_count(spec: CongruenceSpec | BlockSpec, restriction: str = "all") -> int:
-    """Number of tuples the enumeration for this instance visits."""
+    """Number of tuples the restriction admits for this instance: the
+    histogram's total, and what oracle_histogram charges to the budget."""
     restriction = _normalize(restriction)
     n = spec.n
     if restriction == "blocks":
@@ -56,7 +61,12 @@ def oracle_histogram(
     budget: OracleBudget | None = None,
 ) -> list[int]:
     """Counts for every target b at once (index b of the list), under the
-    given restriction.  One enumeration serves a whole sweep over b.
+    given restriction.  One histogram serves a whole sweep over b.
+
+    all and blocks convolve one count vector per slot or block (a block's
+    vector is the z^size row of gf_table), strict order runs a transfer DP
+    over the values, and distinct and square solutions are enumerated.
+    state_count is charged to ``budget`` before any of them starts.
 
     Every slot ranges over the residues [0, n).  The strict-order count
     compares those representatives, so it depends on the choice of [0, n)
@@ -69,15 +79,18 @@ def oracle_histogram(
     budget.charge(state_count(spec, restriction))
     n = spec.n
     if restriction == "blocks":
-        return _kernels_py.hist_blocks(n, spec.sizes, spec.coeffs)
+        return _convolve(n, [
+            gf_table(n, [a * x % n for x in range(n)], size, distinct=False).coeffs[size]
+            for size, a in spec.blocks
+        ])
     if restriction == "all":
-        return _kernels_py.hist_all(n, spec.coeffs)
+        return _convolve(n, [_count_vector(n, a, range(n)) for a in spec.coeffs])
     if restriction == "strict-order":
-        return _kernels_py.hist_strict(n, spec.coeffs)
+        return _strict_histogram(n, spec.coeffs)
     if restriction == "distinct":
-        return _kernels_py.hist_distinct(n, spec.coeffs)
+        return _distinct_histogram(n, spec.coeffs)
     domain = sorted(characters.square_profile(n).square_set)
-    return _kernels_py.hist_domain(n, spec.coeffs, domain)
+    return _domain_histogram(n, spec.coeffs, domain)
 
 
 def oracle_count(
@@ -85,7 +98,7 @@ def oracle_count(
     restriction: str = "all",
     budget: OracleBudget | None = None,
 ) -> int:
-    """Exact count by exhaustive enumeration under the given restriction."""
+    """Exact count under the given restriction (one entry of the histogram)."""
     return oracle_histogram(spec, restriction, budget)[spec.b % spec.n]
 
 
@@ -109,7 +122,7 @@ def oracle_solutions(
     else:
         domain = list(range(spec.n))
     out: list[tuple[int, ...]] = []
-    for tup in _product_tuples(domain, spec.k):
+    for tup in itertools.product(domain, repeat=spec.k):
         if sum(a * x for a, x in zip(spec.coeffs, tup)) % spec.n == spec.b:
             out.append(tup)
             if limit is not None and len(out) >= limit:
@@ -127,15 +140,98 @@ def find_restricted_solution(
     return hits[0] if hits else None
 
 
-def _product_tuples(domain: list[int], k: int):
-    def rec(pos: int, prefix: tuple[int, ...]):
-        for x in domain:
-            if pos == k - 1:
-                yield prefix + (x,)
-            else:
-                yield from rec(pos + 1, prefix + (x,))
+def _count_vector(n: int, a: int, domain) -> list[int]:
+    """v[r] = number of x in ``domain`` with a*x = r (mod n)."""
+    vec = [0] * n
+    for x in domain:
+        vec[a * x % n] += 1
+    return vec
 
-    yield from rec(0, ())
+
+def _convolve(n: int, vectors: list[list[int]]) -> list[int]:
+    """Cyclic convolution of count vectors of length n: entry r counts the
+    ways to pick one index per vector, weighted by its entries, with the
+    indices summing to r mod n."""
+    acc = vectors[0]
+    for vec in vectors[1:]:
+        nxt = [0] * n
+        for t, d in enumerate(vec):
+            if d:
+                # nxt[(r + t) % n] += d * acc[r]: add acc rotated by t
+                nxt = [x + d * y for x, y in zip(nxt, acc[n - t:] + acc[:n - t])]
+        acc = nxt
+    return acc
+
+
+def _strict_histogram(n: int, coeffs) -> list[int]:
+    """Histogram over strictly decreasing tuples x1 > x2 > ... > xk of
+    residues in [0, n), by a transfer DP over the values w = n-1, ..., 0.
+    Before w is processed, above[i] is the histogram of a1*x1+...+ai*xi over
+    the strictly decreasing i-tuples with every coordinate above w; at w,
+    position i takes the value w and extends above[i-1].  O(k*n^2) time and
+    O(k*n) memory."""
+    k = len(coeffs)
+    if k > n:
+        return [0] * n
+    above = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(k)]
+    for w in range(n - 1, -1, -1):
+        # downwards, so that above[i - 1] still excludes the value w
+        for i in range(min(k, n - w), 0, -1):
+            t = coeffs[i - 1] * w % n
+            prev = above[i - 1]
+            above[i] = list(map(add, above[i], prev[n - t:] + prev[:n - t]))
+    return above[k]
+
+
+def _distinct_histogram(n: int, coeffs) -> list[int]:
+    """Histogram over tuples with pairwise distinct coordinates, by
+    enumeration."""
+    k = len(coeffs)
+    hist = [0] * n
+    if k > n:
+        return hist
+    steps = [[a * x % n for x in range(n)] for a in coeffs]
+    used = [False] * n
+
+    def rec(pos: int, acc: int) -> None:
+        step = steps[pos]
+        if pos == k - 1:
+            for x in range(n):
+                if not used[x]:
+                    s = acc + step[x]
+                    hist[s - n if s >= n else s] += 1
+        else:
+            for x in range(n):
+                if not used[x]:
+                    used[x] = True
+                    s = acc + step[x]
+                    rec(pos + 1, s - n if s >= n else s)
+                    used[x] = False
+
+    rec(0, 0)
+    return hist
+
+
+def _domain_histogram(n: int, coeffs, domain) -> list[int]:
+    """Histogram over tuples whose coordinates all lie in ``domain``, by
+    enumeration (square_convolution_histogram cross-checks it)."""
+    k = len(coeffs)
+    hist = [0] * n
+    values = [[a * x % n for x in domain] for a in coeffs]
+
+    def rec(pos: int, acc: int) -> None:
+        vals = values[pos]
+        if pos == k - 1:
+            for v in vals:
+                s = acc + v
+                hist[s - n if s >= n else s] += 1
+        else:
+            for v in vals:
+                s = acc + v
+                rec(pos + 1, s - n if s >= n else s)
+
+    rec(0, 0)
+    return hist
 
 
 # ----------------------------------------------------------------------
@@ -218,22 +314,7 @@ def square_convolution_histogram(n: int, coeffs) -> list[int]:
     """Counts of square-restricted solutions for every b, via k-1 cyclic
     convolutions of the per-slot vectors v_i[a_i*x] = [x square mod n]."""
     square_set = characters.square_profile(n).square_set
-    acc = None
-    for a in coeffs:
-        vec = [0] * n
-        for x in square_set:
-            vec[a * x % n] += 1
-        if acc is None:
-            acc = vec
-        else:
-            nxt = [0] * n
-            for r, c in enumerate(acc):
-                if c:
-                    for t, d in enumerate(vec):
-                        if d:
-                            nxt[(r + t) % n] += c * d
-            acc = nxt
-    return acc
+    return _convolve(n, [_count_vector(n, a, square_set) for a in coeffs])
 
 
 def oracle_square_convolution(spec: CongruenceSpec) -> int:

@@ -240,9 +240,10 @@ def test_09_formula_asymptotics():
     report(9, "formula fast at n=10^4 k=10, oracle over budget", f"{elapsed * 1000:.1f} ms")
 
 
-def test_10_selftest_and_mutation_sensitivity(monkeypatch, capsys):
+def test_10_selftest_and_mutation_sensitivity(monkeypatch, capsys, cli_env):
     proc = subprocess.run(
-        [sys.executable, "-m", "lincong.cli", "selftest"], capture_output=True, text=True
+        [sys.executable, "-m", "lincong.cli", "selftest"], capture_output=True, text=True,
+        env=cli_env,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
     # flip the Gauss-sum sign and demand that the square-count golden breaks

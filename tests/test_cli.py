@@ -72,6 +72,13 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["count", "--mode", "blocks", "-n", "6", "--blocks", "2-2", "-b", "1"], capsys)[0] == 2
 
 
+def test_count_k_must_match_the_instance(capsys):
+    assert run_cli(["count", "--mode", "all", "-n", "6", "-a", "2,4", "-k", "3", "-b", "4"], capsys)[0] == 2
+    assert run_cli(["count", "--mode", "ramanujan", "-n", "9", "-k", "1", "-b", "3"], capsys)[0] == 2
+    code, out, _ = run_cli(["count", "--mode", "all", "-n", "6", "-a", "2,4", "-k", "2", "-b", "4"], capsys)
+    assert code == 0 and json_lines(out)[0]["count"] == 12
+
+
 def test_domain_error_exit_2(capsys):
     # distinct-mode hypothesis violation is a domain error
     code, _, err = run_cli(["count", "--mode", "distinct", "-n", "6", "-a", "2,1", "-b", "0"], capsys)
@@ -121,6 +128,24 @@ def test_verify_ramanujan(capsys):
     code, out, _ = run_cli(["verify", "--mode", "ramanujan", "--n-max", "40"], capsys)
     assert code == 0
     assert json_lines(out)[-1]["mismatches"] == 0
+
+
+def swept_moduli(out):
+    return sorted({rec["n"] for rec in json_lines(out)[:-1]})
+
+
+def test_verify_n_list_wins_over_n_max(capsys):
+    argv = ["verify", "--mode", "all", "--n-max", "3", "--k-max", "1", "--n-list", "5"]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0 and swept_moduli(out) == [5]
+
+
+def test_grids_honour_n_max(capsys):
+    code, out, _ = run_cli(["verify", "--mode", "square", "--n-max", "4", "--k-max", "1"], capsys)
+    assert code == 0 and swept_moduli(out) == [1, 2, 3, 4]
+    code, out, _ = run_cli(["bench", "--mode", "blocks", "--n-max", "3"], capsys)
+    assert code == 0 and [row[0] for row in csv.reader(io.StringIO(out))][1:] == ["1", "2", "3"]
+    assert run_cli(["verify", "--mode", "all", "--n-list", "0,3"], capsys)[0] == 2
 
 
 def test_verify_budget_skips(capsys):
@@ -241,12 +266,14 @@ def test_bench_formula_over_budget_gives_empty_row(capsys):
     assert rows[1:] == [["8", "2", "square", "", "", ""]]
 
 
-def test_selftest_passes_and_is_deterministic():
+def test_selftest_passes_and_is_deterministic(cli_env):
     proc1 = subprocess.run(
-        [sys.executable, "-m", "lincong.cli", "selftest"], capture_output=True, text=True
+        [sys.executable, "-m", "lincong.cli", "selftest"], capture_output=True, text=True,
+        env=cli_env,
     )
     proc2 = subprocess.run(
-        [sys.executable, "-m", "lincong.cli", "selftest"], capture_output=True, text=True
+        [sys.executable, "-m", "lincong.cli", "selftest"], capture_output=True, text=True,
+        env=cli_env,
     )
     assert proc1.returncode == 0
     assert proc1.stdout == proc2.stdout

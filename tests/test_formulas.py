@@ -1,4 +1,4 @@
-"""Closed-form counters against golden values and the enumeration oracles.
+"""Closed-form counters against golden values and the oracle histograms.
 
 The exhaustive sweeps demanded by the acceptance criteria live in
 test_acceptance.py; here each counter gets its worked examples, edge cases,

@@ -1,24 +1,30 @@
-"""The enumeration kernels behind the oracle: totals and degenerate sizes."""
+"""The oracle histograms: totals and degenerate sizes."""
 
-import math
+from lincong import oracles
+from lincong.model import BlockSpec, CongruenceSpec
 
-from lincong import _kernels_py as kernels
+COEFF_RESTRICTIONS = ("all", "square", "strict-order", "distinct")
 
 
 def test_histogram_totals():
-    # the histogram total is exactly the advertised state count
-    n, coeffs = 9, (1, 2, 4)
-    assert sum(kernels.hist_all(n, coeffs)) == n ** len(coeffs)
-    assert sum(kernels.hist_strict(n, coeffs)) == math.comb(n, len(coeffs))
-    assert sum(kernels.hist_distinct(n, coeffs)) == math.perm(n, len(coeffs))
-    sizes = (2, 3)
-    assert sum(kernels.hist_blocks(n, sizes, (1, 2))) == math.comb(n + 1, 2) * math.comb(
-        n + 2, 3
-    )
-    domain = [0, 1, 4, 7]
-    assert sum(kernels.hist_domain(n, coeffs, domain)) == len(domain) ** len(coeffs)
+    # the histogram total is exactly the state count the budget is charged
+    for n in (1, 2, 9, 12):
+        for coeffs in ((1, 2, 4), (3, 3), (0, 5, 1, 7)):
+            spec = CongruenceSpec(n, coeffs, 0)
+            for restriction in COEFF_RESTRICTIONS:
+                hist = oracles.oracle_histogram(spec, restriction)
+                assert len(hist) == n
+                assert sum(hist) == oracles.state_count(spec, restriction), (n, coeffs, restriction)
+        for blocks in (((2, 1), (3, 2)), ((1, 0),), ((3, 3), (1, 1), (2, 6))):
+            spec = BlockSpec(n, blocks, 0)
+            hist = oracles.oracle_histogram(spec, "blocks")
+            assert len(hist) == n
+            assert sum(hist) == oracles.state_count(spec, "blocks"), (n, blocks)
+    # test_oracles.test_state_counts pins the other restrictions' counts
+    spec = CongruenceSpec(9, (1, 2, 4), 0)
+    assert oracles.state_count(spec, "square") == len({x * x % 9 for x in range(9)}) ** 3
 
 
 def test_strict_more_vars_than_residues():
-    assert kernels.hist_strict(3, (1, 1, 1, 1)) == [0, 0, 0]
-    assert kernels.hist_distinct(2, (1, 1, 1)) == [0, 0]
+    assert oracles.oracle_histogram(CongruenceSpec(3, (1, 1, 1, 1), 0), "strict-order") == [0, 0, 0]
+    assert oracles.oracle_histogram(CongruenceSpec(2, (1, 1, 1), 0), "distinct") == [0, 0]

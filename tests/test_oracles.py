@@ -1,4 +1,4 @@
-"""The oracles themselves: enumeration, generating functions, convolution.
+"""The oracles themselves: histograms, generating functions, convolution.
 
 These are the package's ground truth, so they get their own independent
 checks: tiny itertools-based reference counts, cross-agreement between the
@@ -63,8 +63,10 @@ def test_oracle_against_reference():
 
 
 def test_oracle_blocks_against_reference():
-    for n in (2, 3, 4, 6):
-        for blocks in [((2, 1),), ((1, 2), (2, 1)), ((2, 2), (1, 3)), ((3, 1),)]:
+    shapes = [((2, 1),), ((1, 2), (2, 1)), ((2, 2), (1, 3)), ((3, 1),), ((1, 0), (2, 5)),
+              ((2, 3), (1, 1), (1, 4))]
+    for n in (1, 2, 3, 4, 5, 6):
+        for blocks in shapes:
             hist = oracles.oracle_histogram(BlockSpec(n, blocks, 0), "blocks")
             for b in range(n):
                 assert hist[b] == reference_blocks_count(n, blocks, b)
