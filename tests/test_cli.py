@@ -117,11 +117,34 @@ def test_verify_strict_sweep(capsys):
         assert rec["count"] == rec["oracle_count"]
 
 
-def test_verify_square_uses_both_oracles(capsys):
+def test_verify_square_row_schema(capsys):
+    # one oracle per mode: a row carries oracle_count and nothing else from an oracle
     code, out, _ = run_cli(["verify", "--mode", "square", "--n-list", "9", "--k-max", "2"], capsys)
     assert code == 0
-    records = json_lines(out)
-    assert all("oracle_count_alt" in rec for rec in records[:-1])
+    *records, summary = json_lines(out)
+    assert summary["cases"] == len(records) > 0
+    fields = ["mode", "n", "k", "a", "b", "count", "method", "residual", "wall_time_s",
+              "oracle_count", "match", "status"]
+    for rec in records:
+        assert list(rec) == fields
+        assert rec["count"] == rec["oracle_count"] and rec["match"] is True
+    assert "oracle_count_alt" not in cli.CSV_COLUMNS
+
+
+def test_commands_reject_flags_of_other_commands(capsys):
+    # each command registers only the flags it reads: a stray one is a usage error
+    stray = [
+        ["verify", "--mode", "all", "-n", "5", "--n-max", "2", "--k-max", "1"],
+        ["verify", "--mode", "blocks", "--blocks", "2:2", "--n-max", "2"],
+        ["count", "--mode", "all", "-n", "6", "-a", "2,4", "-b", "4", "--jobs", "4"],
+        ["count", "--mode", "all", "-n", "6", "-a", "2,4", "-b", "4", "--n-max", "3"],
+        ["bench", "--mode", "blocks", "--n-max", "2", "--format", "csv"],
+        ["bench", "--mode", "blocks", "--n-max", "2", "--jobs", "2"],
+        ["bench", "--mode", "strict", "-k", "5", "--n-list", "30"],
+    ]
+    for argv in stray:
+        code, out, err = run_cli(argv, capsys)
+        assert code == 2 and out == "" and "unrecognized arguments" in err, argv
 
 
 def test_verify_ramanujan(capsys):

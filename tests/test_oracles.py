@@ -1,10 +1,11 @@
-"""The oracles themselves: histograms, generating functions, convolution.
+"""The oracles themselves: histograms and generating functions.
 
 These are the package's ground truth, so they get their own independent
 checks: tiny itertools-based reference counts, cross-agreement between the
 unrelated methods, and representation invariance.
 """
 
+import functools
 import itertools
 import math
 
@@ -15,21 +16,31 @@ from lincong.errors import BudgetExceededError, DomainError
 from lincong.model import BlockSpec, CongruenceSpec, OracleBudget
 
 
+@functools.cache
+def admitted_tuples(reps, k, restriction):
+    """Filter-based: the k-tuples over ``reps`` that the restriction admits."""
+    out = []
+    for tup in itertools.product(reps, repeat=k):
+        if restriction == "strict-order" and not all(tup[i] > tup[i + 1] for i in range(k - 1)):
+            continue
+        if restriction == "distinct" and len(set(tup)) != k:
+            continue
+        out.append(tup)
+    return out
+
+
+def reference_histogram(n, coeffs, restriction, representatives=None):
+    """Reference histogram over an explicit representative set: entry b
+    counts the admitted tuples with a1*x1+...+ak*xk = b (mod n)."""
+    reps = tuple(range(n) if representatives is None else representatives)
+    hist = [0] * n
+    for tup in admitted_tuples(reps, len(coeffs), restriction):
+        hist[sum(a * x for a, x in zip(coeffs, tup)) % n] += 1
+    return hist
+
+
 def reference_count(n, coeffs, b, restriction, representatives=None):
-    """Filter-based reference counter over an explicit representative set."""
-    reps = list(range(n)) if representatives is None else list(representatives)
-    count = 0
-    for tup in itertools.product(reps, repeat=len(coeffs)):
-        if sum(a * x for a, x in zip(coeffs, tup)) % n != b % n:
-            continue
-        if restriction == "strict-order" and not all(
-            tup[i] > tup[i + 1] for i in range(len(tup) - 1)
-        ):
-            continue
-        if restriction == "distinct" and len(set(tup)) != len(tup):
-            continue
-        count += 1
-    return count
+    return reference_histogram(n, coeffs, restriction, representatives)[b % n]
 
 
 def reference_blocks_count(n, blocks, b, representatives=None):
@@ -50,16 +61,19 @@ def reference_blocks_count(n, blocks, b, representatives=None):
     return count
 
 
+RESTRICTIONS = ("all", "strict-order", "distinct")
+
+
 def test_oracle_against_reference():
     for n in (1, 2, 3, 5, 6):
-        for k in (1, 2, 3):
+        for k in (1, 2, 3, 4):
+            # k = 4 reaches 16 states of the distinct DP; all is one convolution per slot
+            restrictions = ("strict-order", "distinct") if k == 4 else RESTRICTIONS
             for coeffs in itertools.product(range(n), repeat=k):
-                for restriction in ("all", "strict-order", "distinct"):
-                    hist = oracles.oracle_histogram(
-                        CongruenceSpec(n, coeffs, 0), restriction
-                    )
-                    for b in range(n):
-                        assert hist[b] == reference_count(n, coeffs, b, restriction)
+                for restriction in restrictions:
+                    want = reference_histogram(n, coeffs, restriction)
+                    got = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), restriction)
+                    assert got == want, (coeffs, restriction)
 
 
 def test_oracle_blocks_against_reference():
@@ -192,16 +206,16 @@ def test_gf_weak_blocks_cross_check():
     assert conv[5] == 63
 
 
-def test_square_convolution_agrees_with_enumeration():
+def test_oracle_square_against_reference():
+    # the square set is recomputed here, apart from characters.square_profile
     for n in (3, 5, 8, 9, 12, 15, 27):
+        squares = sorted({x * x % n for x in range(n)})
         for k in (1, 2, 3):
             for coeffs in itertools.combinations_with_replacement((1, 2, 3, 5), k):
                 hist = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "square")
-                conv = oracles.square_convolution_histogram(n, coeffs)
-                assert hist == conv, (n, coeffs)
-    assert oracles.oracle_square_convolution(CongruenceSpec(27, (1, 1), 1)) == 4
-    assert oracles.oracle_square_convolution(CongruenceSpec(9, (1, 1), 3)) == 0
-    assert oracles.oracle_square_convolution(CongruenceSpec(9, (1, 1), 2)) == 3
+                assert hist == reference_histogram(n, coeffs, "all", squares), (n, coeffs)
+    assert oracles.oracle_count(CongruenceSpec(9, (1, 1), 3), "square") == 0
+    assert oracles.oracle_count(CongruenceSpec(9, (1, 1), 2), "square") == 3
 
 
 def test_cyclic_poly_validation():
