@@ -4,8 +4,12 @@ Each counter returns a CountResult whose count is exact.  Divisor-sum
 formulas (strict order, distinct, common-gcd blocks) run in all-integer or
 exact-rational arithmetic; the square counter and the general block counter
 accumulate complex roots of unity and round at the end, recording the
-rounding residual.  Every counter is verified against the independent
-oracle histograms in the test suite.
+rounding residual.  The general block counter keeps its target-independent
+work in small caches, one orbit plan per (n, sizes, coefficients) and one
+table of roots per n.  The caches change the time only: each call adds the
+same floats in the same order as a sum rebuilt on every call, so counts,
+residuals and errors stay bit for bit the same.  Every counter is verified
+against the independent oracle histograms in the test suite.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from fractions import Fraction
+from functools import lru_cache
 
 from . import arith, characters, oracles
 from .errors import ConsistencyError, DomainError
@@ -337,6 +342,48 @@ def _blocks_common_gcd(n: int, sizes: tuple[int, ...], f: int, b: int) -> CountR
     return CountResult(int(value), FORMULA)
 
 
+# Sweeps visit every target of one instance in a row, so two entries
+# suffice.  A plan or a table holds O(n) values (about 15 MiB for both at
+# n = 200000), which stay cached after the sweep.
+_BLOCK_CACHE_SIZE = 2
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _block_orbit_plan(
+    n: int, sizes: tuple[int, ...], coeffs: tuple[int, ...]
+) -> tuple[tuple[float, tuple[int, ...]], ...]:
+    """The target-independent part of the mixed-gcd block sum: for each
+    divisor tuple (d_1, ..., d_t) of nonzero weight, in itertools.product
+    order, the pair (float(weight), the m in [1, n] with gcd(a_i*m, n) = d_i
+    for every i, in increasing order).  One pass over m groups each m by its
+    gcd tuple."""
+    weights: list[dict[int, Fraction]] = []
+    for ki in sizes:
+        per_block: dict[int, Fraction] = {}
+        for d in arith.divisors(n):
+            if (ki * d) % n:
+                continue
+            j = ki * d // n
+            per_block[d] = Fraction(d, d + j) * arith.binomial_guarded(d + j, j)
+        weights.append(per_block)
+    orbits: dict[tuple[int, ...], list[int]] = {}
+    for m in range(1, n + 1):
+        orbits.setdefault(tuple(math.gcd(a * m, n) for a in coeffs), []).append(m)
+    plan = []
+    for combo in itertools.product(*(sorted(w) for w in weights)):
+        weight = math.prod(weights[i][d] for i, d in enumerate(combo))
+        if weight == 0:
+            continue
+        plan.append((float(weight), tuple(orbits.get(combo, ()))))
+    return tuple(plan)
+
+
+@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+def _roots_of_unity(n: int) -> tuple[complex, ...]:
+    """e(r/n) for r in [0, n), each as arith.root_of_unity computes it."""
+    return tuple(arith.root_of_unity(r, n) for r in range(n))
+
+
 def order_blocks_count(spec: BlockSpec) -> CountResult:
     """Count solutions that are weakly decreasing within each coefficient
     block.
@@ -348,32 +395,26 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     sum over m in [1, n] with gcd(a_i*m, n) = d_i for every i, and the total
     is divided by n and rounded with a recorded residual.  Divisor tuples with
     a fractional j_i vanish through the guarded binomial and are skipped.
+
+    Only the roots e(-b*m/n) depend on the target.  The weights and the m of
+    each divisor tuple are built once per (n, sizes, coefficients) and the
+    roots once per n, in small caches, so a sweep over the targets of one
+    instance pays for them once.  Each call still adds the same floats in
+    the same order as a sum rebuilt on every call, so counts, residuals and
+    errors do not change.
     """
     n, b = spec.n, spec.b
     sizes, coeffs = spec.sizes, spec.coeffs
     gcds = [math.gcd(a, n) for a in coeffs]
     if len(set(gcds)) == 1:
         return _blocks_common_gcd(n, sizes, gcds[0], b)
-    t = len(sizes)
-    weights: list[dict[int, Fraction]] = []
-    for ki in sizes:
-        per_block: dict[int, Fraction] = {}
-        for d in arith.divisors(n):
-            if (ki * d) % n:
-                continue
-            j = ki * d // n
-            per_block[d] = Fraction(d, d + j) * arith.binomial_guarded(d + j, j)
-        weights.append(per_block)
+    roots = _roots_of_unity(n)
     acc = 0j
-    for combo in itertools.product(*(sorted(w) for w in weights)):
-        weight = math.prod(weights[i][d] for i, d in enumerate(combo))
-        if weight == 0:
-            continue
+    for weight, orbit in _block_orbit_plan(n, sizes, coeffs):
         expo = 0j
-        for m in range(1, n + 1):
-            if all(math.gcd(coeffs[i] * m, n) == combo[i] for i in range(t)):
-                expo += arith.root_of_unity(-b * m, n)
-        acc += float(weight) * expo
+        for m in orbit:
+            expo += roots[-b * m % n]
+        acc += weight * expo
     value, resid = arith.round_complex_to_int(acc / n)
     if value < 0:
         raise ConsistencyError(f"negative block count {value}")

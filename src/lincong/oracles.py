@@ -167,17 +167,19 @@ def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
     strictly decreasing ones (x1 > x2 > ... > xk) when ``ordered``, by a
     transfer DP over the values w = n-1, ..., 0.
 
-    A state is the bit mask of the positions that already hold a value above
-    w, with the histogram of a1*x1+...+ak*xk over those positions.  At each
-    w one free position of each state takes w; the states are read from a
-    snapshot, so no tuple takes w twice.  When ordered, the free position is
-    the first one, so only the k+1 prefix masks occur: O(k*n^2) time and
-    O(k*n) memory.  Otherwise any free position may take w: O(k*2^k*n^2)
-    time and O(2^k*n) memory."""
+    A state is the nonempty bit mask of the positions that already hold a
+    value above w, with the histogram of a1*x1+...+ak*xk over those
+    positions.  At each w one free position of each state takes w; the
+    states are read from a snapshot, so no tuple takes w twice.  Each
+    one-position state 1 << i starts from the point mass: at each w it gains
+    a single 1 at a_i*w mod n.  When ordered, the free position is the first
+    one, so only position 0 is seeded and only the k prefix masks occur:
+    O(k*n^2) time and O(k*n) memory.  Otherwise any free position may take
+    w: O(k*2^k*n^2) time and O(2^k*n) memory."""
     k = len(coeffs)
     if k > n:
         return [0] * n
-    states = {0: [1] + [0] * (n - 1)}
+    states: dict[int, list[int]] = {}
     for w in range(n - 1, -1, -1):
         for mask, hist in list(states.items()):
             free = [i for i in range(k) if not mask >> i & 1]
@@ -187,6 +189,9 @@ def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
                 moved = hist[n - t:] + hist[:n - t]
                 grown = mask | 1 << i
                 states[grown] = list(map(add, states[grown], moved)) if grown in states else moved
+        # seeded after the transfers, so no other position joins it at w
+        for i in range(1 if ordered else k):
+            states.setdefault(1 << i, [0] * n)[coeffs[i] * w % n] += 1
     return states[(1 << k) - 1]
 
 

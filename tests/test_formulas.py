@@ -7,12 +7,13 @@ error contracts, and a small oracle sweep.
 
 import itertools
 import math
+from fractions import Fraction
 
 import pytest
 
-from lincong import formulas, oracles
+from lincong import arith, formulas, oracles
 from lincong.errors import BudgetExceededError, ConsistencyError, DomainError
-from lincong.model import BlockSpec, CongruenceSpec, CountResult, OracleBudget
+from lincong.model import FORMULA, BlockSpec, CongruenceSpec, CountResult, OracleBudget
 
 
 def test_congruence_spec_reduces():
@@ -314,6 +315,83 @@ def test_blocks_sum_over_targets():
             )
             expected = math.prod(math.comb(n + size - 1, size) for size, _ in blocks)
             assert total == expected
+
+
+def _blocks_per_call_reference(spec):
+    """The mixed-gcd block sum evaluated anew on every call: weights
+    rebuilt per block, every m in [1, n] scanned for each divisor tuple and
+    each root computed on the spot, in the float order order_blocks_count
+    must keep."""
+    n, b = spec.n, spec.b
+    sizes, coeffs = spec.sizes, spec.coeffs
+    t = len(sizes)
+    weights = []
+    for ki in sizes:
+        per_block = {}
+        for d in arith.divisors(n):
+            if (ki * d) % n:
+                continue
+            j = ki * d // n
+            per_block[d] = Fraction(d, d + j) * arith.binomial_guarded(d + j, j)
+        weights.append(per_block)
+    acc = 0j
+    for combo in itertools.product(*(sorted(w) for w in weights)):
+        weight = math.prod(weights[i][d] for i, d in enumerate(combo))
+        if weight == 0:
+            continue
+        expo = 0j
+        for m in range(1, n + 1):
+            if all(math.gcd(coeffs[i] * m, n) == combo[i] for i in range(t)):
+                expo += arith.root_of_unity(-b * m, n)
+        acc += float(weight) * expo
+    value, resid = arith.round_complex_to_int(acc / n)
+    if value < 0:
+        raise ConsistencyError(f"negative block count {value}")
+    return CountResult(value, FORMULA, resid)
+
+
+def _outcome(fn, spec):
+    try:
+        res = fn(spec)
+    except (ConsistencyError, DomainError) as exc:
+        return type(exc), str(exc)
+    return res.count, repr(res.residual), res.method
+
+
+def test_blocks_mixed_gcd_bit_identical_to_per_call_sum():
+    # the cached orbit plan must not change a single float operation: same
+    # count, same residual bits, same error on every target
+    shapes = [(1, 2), (3, 2), (2, 3), (1, 1, 2), (2, 1, 3), (3, 3, 1)]
+    specs = []
+    for n in range(2, 25):
+        for sizes in shapes:
+            for coeffs in itertools.product((1, 2, 3, 4, 6), repeat=len(sizes)):
+                coeffs = tuple(a % n for a in coeffs)
+                if len({math.gcd(a, n) for a in coeffs}) > 1 and coeffs[0] < coeffs[1]:
+                    specs += [BlockSpec(n, tuple(zip(sizes, coeffs)), b) for b in range(n)]
+    # a zero count whose float noise raises ConsistencyError (ROADMAP K3)
+    specs.append(BlockSpec(168, ((2, 2), (2, 4), (1, 6), (1, 8)), 1))
+    for spec in specs:
+        want = _outcome(_blocks_per_call_reference, spec)
+        assert _outcome(formulas.order_blocks_count, spec) == want, spec
+    assert _outcome(formulas.order_blocks_count, specs[-1])[0] is ConsistencyError
+
+
+def test_blocks_cache_keys_on_coefficients_and_sizes():
+    # targets interleaved across specs that share n and sizes, or n and
+    # coefficients, so a plan cached under too loose a key gives a wrong count
+    n = 12
+    specs = [
+        ((2, 1), (3, 2)),
+        ((2, 1), (3, 3)),
+        ((1, 1), (2, 2)),
+        ((3, 1), (1, 2)),
+    ]
+    hists = [oracles.oracle_histogram(BlockSpec(n, blocks, 0), "blocks") for blocks in specs]
+    for b in range(n):
+        for blocks, hist in zip(specs, hists):
+            got = formulas.order_blocks_count(BlockSpec(n, blocks, b))
+            assert got.count == hist[b], (blocks, b)
 
 
 def test_blocks_spec_validation():

@@ -76,6 +76,16 @@ def test_oracle_against_reference():
                     assert got == want, (coeffs, restriction)
 
 
+def test_value_dp_small_k_against_reference():
+    # k = 1 ends on the seeded one-position state; k = 2 adds one transfer
+    for n in (1, 2, 7, 30, 97):
+        for coeffs in ((3,), (2, 5), (6, 1)):
+            coeffs = tuple(a % n for a in coeffs)
+            for restriction in ("strict-order", "distinct"):
+                got = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), restriction)
+                assert got == reference_histogram(n, coeffs, restriction), (n, coeffs, restriction)
+
+
 def test_oracle_blocks_against_reference():
     shapes = [((2, 1),), ((1, 2), (2, 1)), ((2, 2), (1, 3)), ((3, 1),), ((1, 0), (2, 5)),
               ((2, 3), (1, 1), (1, 4))]
