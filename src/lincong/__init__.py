@@ -2,8 +2,10 @@
 
 Closed-form counters for square-restricted, strictly ordered, block-ordered
 and distinct solutions of a1*x1 + ... + ak*xk = b (mod n), built on Ramanujan
-sums and real Gauss sums, together with the brute-force and
-generating-function oracles that verify them.
+sums and the real Gauss sum modulo odd prime powers, together with the
+histogram and generating-function oracles that verify them.  The package
+holds only what the counters, the oracles and the CLI call; the lemmas behind
+the closed forms are checked against literal sums in the test suite.
 """
 
 from .arith import (
@@ -17,26 +19,13 @@ from .arith import (
     jacobi_symbol,
     moebius,
     ramanujan_sum,
-    ramanujan_sum_direct,
     root_of_unity,
     round_complex_to_int,
 )
 from .characters import (
-    DirichletCharacter,
-    PeriodicFunction,
     SquareProfile,
-    chi_eval,
-    dft,
-    gauss_sum_closed,
-    gauss_sum_direct,
     gauss_sum_real_prime_power,
-    gauss_sum_real_primitive,
-    idft,
-    legendre_character,
-    principal_character,
-    product_identity_check,
     sqrt_mod_prime_power,
-    square_decomposition_identity,
     square_indicator,
     square_profile,
 )
@@ -47,14 +36,12 @@ from .formulas import (
     lehmer_count,
     order_blocks_count,
     square_count,
-    square_count_corollary,
     square_solution_exists,
     strict_order_count,
 )
 from .model import BlockSpec, CongruenceSpec, CountResult, OracleBudget
 from .oracles import (
     CyclicPoly,
-    find_restricted_solution,
     gf_count,
     gf_table,
     oracle_count,
@@ -72,48 +59,33 @@ __all__ = [
     "ConsistencyError",
     "CountResult",
     "CyclicPoly",
-    "DirichletCharacter",
     "DomainError",
     "Factorization",
     "OracleBudget",
-    "PeriodicFunction",
     "SquareProfile",
     "binomial_guarded",
-    "chi_eval",
-    "dft",
     "distinct_count_equal_coeffs",
     "distinct_count_gcd_condition",
     "divisors",
     "epsilon",
     "euler_phi",
     "factorize",
-    "find_restricted_solution",
-    "gauss_sum_closed",
-    "gauss_sum_direct",
     "gauss_sum_real_prime_power",
-    "gauss_sum_real_primitive",
     "gf_count",
     "gf_table",
-    "idft",
     "is_prime",
     "jacobi_symbol",
-    "legendre_character",
     "lehmer_count",
     "moebius",
     "oracle_count",
     "oracle_histogram",
     "oracle_solutions",
     "order_blocks_count",
-    "principal_character",
-    "product_identity_check",
     "ramanujan_sum",
-    "ramanujan_sum_direct",
     "root_of_unity",
     "round_complex_to_int",
     "sqrt_mod_prime_power",
     "square_count",
-    "square_count_corollary",
-    "square_decomposition_identity",
     "square_indicator",
     "square_profile",
     "square_solution_exists",

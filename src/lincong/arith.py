@@ -1,11 +1,12 @@
 """Exact elementary number theory: factorization, multiplicative functions,
-Jacobi symbols, guarded binomials, roots of unity and Ramanujan sums.
+Jacobi symbols, guarded binomials, Ramanujan sums and roots of unity.
 
-Everything here is a pure function of its arguments and returns exact values
-(arbitrary-precision ints, or complex doubles for the e(x) = exp(2*pi*i*x)
-machinery).  Complex accumulations that represent integers are rounded through
-``round_complex_to_int``, which enforces the 1e-6 relative tolerance used
-throughout the package.
+Everything here is a pure function of its arguments.  Values are exact
+integers, except the roots of unity e(x) = exp(2*pi*i*x), which are complex
+doubles.  Only the square counter and the mixed-gcd block counter add them
+up; ``round_complex_to_int`` turns such a sum back into an integer under the
+1e-6 relative tolerance ROUND_TOL.  Ramanujan sums come from Hoelder's
+closed form.
 """
 
 from __future__ import annotations
@@ -193,18 +194,6 @@ def round_complex_to_int(z: complex, tol: float = ROUND_TOL) -> tuple[int, float
     if resid >= tol:
         raise ConsistencyError(f"{z!r} is not an integer (residual {resid:.3g})")
     return n, resid
-
-
-def ramanujan_sum_direct(n: int, b: int) -> int:
-    """C_n(b) summed literally: e(j*b/n) over j in [1, n] coprime to n."""
-    if n < 1:
-        raise DomainError(f"ramanujan_sum_direct needs n >= 1, got {n}")
-    acc = 0j
-    for j in range(1, n + 1):
-        if math.gcd(j, n) == 1:
-            acc += root_of_unity(j * b, n)
-    value, _ = round_complex_to_int(acc)
-    return value
 
 
 @lru_cache(maxsize=None)

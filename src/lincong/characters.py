@@ -1,10 +1,11 @@
-"""Dirichlet characters, Gauss sums, the discrete Fourier transform of
-periodic functions, and squares modulo n (indicators, profiles, square roots,
-and the identities the closed-form counters rely on).
+"""The real Gauss sum modulo p^ell and the squares modulo n (indicators,
+profiles and square roots).
 
-Only two character kinds exist here: the principal character, and the real
-character modulo n induced by the Legendre symbol of an odd prime p dividing
-n.  These are the only characters any counting formula in the package needs.
+The square counter needs one character: the real character modulo p^ell
+induced by the Legendre symbol of an odd prime p.  Its Gauss sum has the
+closed form below, and with the Ramanujan sums of arith it gives the
+transform of the square indicator modulo p^ell.  The test suite checks the
+closed form, that decomposition and the other lemmas against literal sums.
 """
 
 from __future__ import annotations
@@ -15,108 +16,6 @@ from functools import lru_cache
 
 from . import arith
 from .errors import DomainError
-
-PRINCIPAL = "principal"
-LEGENDRE = "legendre"
-
-
-@dataclass(frozen=True)
-class DirichletCharacter:
-    """A character modulo ``modulus``: principal, or induced by (./p).
-
-    The conductor is 1 for the principal character and p for the induced real
-    character (the Legendre symbol mod p is primitive).
-    """
-
-    modulus: int
-    kind: str
-    p: int | None = None
-
-    def __post_init__(self):
-        if self.modulus < 1:
-            raise DomainError(f"character modulus must be >= 1, got {self.modulus}")
-        if self.kind == PRINCIPAL:
-            if self.p is not None:
-                raise DomainError("principal characters carry no inducing prime")
-        elif self.kind == LEGENDRE:
-            p = self.p
-            if p is None or p % 2 == 0 or not arith.is_prime(p):
-                raise DomainError(f"inducing prime must be an odd prime, got {p}")
-            if self.modulus % p:
-                raise DomainError(f"{p} does not divide modulus {self.modulus}")
-        else:
-            raise DomainError(f"unknown character kind {self.kind!r}")
-
-    @property
-    def conductor(self) -> int:
-        return 1 if self.kind == PRINCIPAL else self.p
-
-
-def principal_character(modulus: int) -> DirichletCharacter:
-    return DirichletCharacter(modulus, PRINCIPAL)
-
-
-def legendre_character(modulus: int, p: int) -> DirichletCharacter:
-    return DirichletCharacter(modulus, LEGENDRE, p)
-
-
-def chi_eval(chi: DirichletCharacter, m: int) -> int:
-    """Value of the character at m: zero off the units, else 1 or (m/p)."""
-    if math.gcd(m, chi.modulus) != 1:
-        return 0
-    if chi.kind == PRINCIPAL:
-        return 1
-    return arith.jacobi_symbol(m % chi.p, chi.p)
-
-
-def gauss_sum_direct(chi: DirichletCharacter, m: int) -> complex:
-    """The literal Gauss sum: sum of chi(x) e(m*x/n) over x in [1, n]."""
-    n = chi.modulus
-    return sum(
-        chi_eval(chi, x) * arith.root_of_unity(m * x, n)
-        for x in range(1, n + 1)
-        if math.gcd(x, n) == 1
-    ) + 0j
-
-
-def gauss_sum_real_primitive(n: int) -> complex:
-    """Gauss's evaluation for a real primitive character of odd squarefree
-    modulus n: epsilon_n * sqrt(n)."""
-    if n % 2 == 0:
-        raise DomainError(f"real primitive Gauss sum needs odd n, got {n}")
-    if arith.moebius(n) == 0:
-        raise DomainError(f"real primitive Gauss sum needs squarefree n, got {n}")
-    return arith.epsilon(n) * math.sqrt(n)
-
-
-def gauss_sum_closed(chi: DirichletCharacter, m: int) -> complex:
-    """Closed form for the Gauss sum of an induced (non-principal) character.
-
-    With conductor q = p and r = n / gcd(n, m): the sum vanishes unless q
-    divides r, and otherwise equals
-        chi*(m / gcd(n, m)) * mu(r/q) * chi*(r/q) * phi(n)/phi(r) * tau(chi*)
-    where chi* is the Legendre symbol mod p and tau(chi*) = epsilon_p*sqrt(p).
-    Principal characters are rejected; their Gauss sum is the Ramanujan sum.
-    """
-    if chi.kind == PRINCIPAL:
-        raise DomainError("principal character: use ramanujan_sum instead")
-    n, p = chi.modulus, chi.p
-    m %= n
-    g = math.gcd(m, n)
-    r = n // g
-    if r % p:
-        return 0j
-    mu = arith.moebius(r // p)
-    if mu == 0:
-        return 0j
-    chi_r = arith.jacobi_symbol((r // p) % p, p)
-    if chi_r == 0:
-        return 0j
-    chi_m = arith.jacobi_symbol((m // g) % p, p)
-    if chi_m == 0:
-        return 0j
-    scale = arith.euler_phi(n) // arith.euler_phi(r)
-    return chi_m * mu * chi_r * scale * gauss_sum_real_primitive(p)
 
 
 def gauss_sum_real_prime_power(p: int, ell: int, m: int) -> complex:
@@ -133,37 +32,6 @@ def gauss_sum_real_prime_power(p: int, ell: int, m: int) -> complex:
     u = mm // g
     sym = arith.jacobi_symbol(u % p, p)
     return arith.epsilon(p) * sym * p ** (ell - 1) * math.sqrt(p)
-
-
-@dataclass(frozen=True)
-class PeriodicFunction:
-    """An n-periodic function given by its values on the canonical residues
-    0..n-1 (value at any integer j is values[j mod n])."""
-
-    values: tuple
-
-    def __post_init__(self):
-        if not self.values:
-            raise DomainError("periodic function needs period >= 1")
-
-    @property
-    def period(self) -> int:
-        return len(self.values)
-
-    def __call__(self, j: int):
-        return self.values[j % self.period]
-
-
-def dft(f: PeriodicFunction, b: int) -> complex:
-    """Discrete Fourier transform: sum of f(j) e(-b*j/n) over one period."""
-    n = f.period
-    return sum(f(j) * arith.root_of_unity(-b * j, n) for j in range(n)) + 0j
-
-
-def idft(fhat: PeriodicFunction, b: int) -> complex:
-    """Inverse transform: (1/n) sum of fhat(j) e(b*j/n) over one period."""
-    n = fhat.period
-    return sum(fhat(j) * arith.root_of_unity(b * j, n) for j in range(n)) / n
 
 
 def _hensel_lift_sqrt(w: int, u: int, p: int, ell: int) -> int:
@@ -256,46 +124,3 @@ def square_profile(n: int) -> SquareProfile:
     sq = frozenset(x * x % n for x in range(n))
     q = sum(1 for x in sq if math.gcd(x, n) == 1)
     return SquareProfile(n, sq, len(sq), q)
-
-
-def square_decomposition_identity(p: int, ell: int, m: int) -> tuple[complex, complex]:
-    """Both sides of the square-indicator decomposition modulo p^ell.
-
-    LHS: sum over x of [x square mod p^ell] e(x*m/p^ell), summed directly.
-    RHS: 1 + (1/2) * sum over even j < ell of
-         (C_{p^(ell-j)}(m) + Gauss sum of the induced real character),
-    evaluated through the closed forms.  Callers assert the two agree.
-    """
-    mod = p**ell
-    lhs = sum(
-        arith.root_of_unity(x * m, mod)
-        for x in range(mod)
-        if square_indicator(mod, x)
-    ) + 0j
-    rhs = 1 + 0j
-    for j in range(0, ell, 2):
-        rhs += 0.5 * (
-            arith.ramanujan_sum(p ** (ell - j), m)
-            + gauss_sum_real_prime_power(p, ell - j, m)
-        )
-    return lhs, rhs
-
-
-def product_identity_check(n: int, a: int, m: int) -> float:
-    """Max coefficient gap between prod_{j=1..n} (1 - z e(j*a*m/n)) and
-    (1 - z^(n/d))^d with d = gcd(a*m, n), both expanded to degree n."""
-    if n < 1:
-        raise DomainError(f"product_identity_check needs n >= 1, got {n}")
-    lhs = [0j] * (n + 1)
-    lhs[0] = 1 + 0j
-    for j in range(1, n + 1):
-        w = arith.root_of_unity(j * a * m, n)
-        for t in range(min(j, n), 0, -1):
-            lhs[t] = lhs[t] - w * lhs[t - 1]
-    d = math.gcd(a * m, n)
-    rhs = [0j] * (n + 1)
-    q = n // d
-    for i in range(d + 1):
-        sign = -1 if i % 2 else 1
-        rhs[i * q] = sign * math.comb(d, i)
-    return max(abs(x - y) for x, y in zip(lhs, rhs))

@@ -22,7 +22,6 @@ from functools import lru_cache
 from . import arith, characters, oracles
 from .errors import ConsistencyError, DomainError
 from .model import (
-    COROLLARY,
     FORMULA,
     ORACLE_FALLBACK,
     BlockSpec,
@@ -109,59 +108,6 @@ def square_count(
     return CountResult(total, FORMULA, worst)
 
 
-def square_count_corollary(p: int, ell: int, spec: CongruenceSpec) -> CountResult:
-    """Square-solution count modulo p^ell on the unit fast path.
-
-    Requires n = p^ell with every coefficient and the target coprime to n.
-    S_K then depends on K only through how many chosen coefficients are
-    quadratic residues mod p (s+) versus nonresidues (s-):
-
-        S(s+, s-) = (sum over even j < ell of phi(p^(ell-j)))^(s+ + s-)
-                    + sum_{m=1..p-1} e(-b*m/p) * B_+(m)^s+ * B_-(m)^s-
-
-        B_sgn(m) = -p^(ell-1) + sum over even j in [2, ell) of phi(p^(ell-j))
-                   + sgn * epsilon_p * (m/p) * p^(ell - 1/2)
-
-    and the prime-power factor aggregates the subset counts with binomial
-    weights C(k+, s+) * C(k-, s-) * 2^-(s+ + s-).  With every coefficient a
-    residue this collapses to an aggregation over subset sizes alone.
-    """
-    mod = p**ell
-    if spec.n != mod:
-        raise DomainError(f"spec modulus {spec.n} is not {p}^{ell}")
-    if any(math.gcd(a, mod) != 1 for a in spec.coeffs):
-        raise DomainError("corollary path needs all coefficients coprime to n")
-    if math.gcd(spec.b, mod) != 1:
-        raise DomainError("corollary path needs the target coprime to n")
-    k_plus = sum(1 for a in spec.coeffs if arith.jacobi_symbol(a % p, p) == 1)
-    k_minus = spec.k - k_plus
-    unit_part = sum(arith.euler_phi(p ** (ell - j)) for j in range(0, ell, 2))
-    tail_part = sum(arith.euler_phi(p ** (ell - j)) for j in range(2, ell, 2))
-    gauss_mag = p ** (ell - 1) * math.sqrt(p)
-    eps = arith.epsilon(p)
-    core = -(p ** (ell - 1)) + tail_part
-    acc = 0j
-    for s_plus in range(k_plus + 1):
-        for s_minus in range(k_minus + 1):
-            size = s_plus + s_minus
-            if size == 0:
-                continue
-            s_k = complex(unit_part**size)
-            for m in range(1, p):
-                swing = eps * arith.jacobi_symbol(m, p) * gauss_mag
-                s_k += (
-                    arith.root_of_unity(-spec.b * m, p)
-                    * (core + swing) ** s_plus
-                    * (core - swing) ** s_minus
-                )
-            weight = math.comb(k_plus, s_plus) * math.comb(k_minus, s_minus)
-            acc += weight * 0.5**size * s_k
-    value, resid = arith.round_complex_to_int(acc / mod)
-    if value < 0:
-        raise ConsistencyError(f"negative corollary count {value}")
-    return CountResult(value, COROLLARY, resid)
-
-
 def _verify_square_witness(spec: CongruenceSpec, witness: tuple[int, ...]) -> bool:
     lhs = sum(a * x for a, x in zip(spec.coeffs, witness)) % spec.n
     if lhs != spec.b:
@@ -214,9 +160,10 @@ def square_solution_exists(
             if _verify_square_witness(spec, witness):
                 return True, witness
             raise ConsistencyError(f"constructed witness {witness} failed verification")
-    witness = oracles.find_restricted_solution(spec, "square", budget)
-    if witness is None:
+    hits = oracles.oracle_solutions(spec, "square", budget, limit=1)
+    if not hits:
         return False, None
+    witness = hits[0]
     if not _verify_square_witness(spec, witness):
         raise ConsistencyError(f"oracle witness {witness} failed verification")
     return True, witness

@@ -8,7 +8,6 @@ from .errors import BudgetExceededError, ConsistencyError, DomainError
 
 # Evaluation-method tags carried by CountResult.
 FORMULA = "formula"
-COROLLARY = "corollary-fast-path"
 ORACLE_FALLBACK = "oracle-fallback"
 
 
@@ -71,8 +70,10 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class CountResult:
-    """An exact count, the evaluation route that produced it, and the worst
-    rounding residual of any complex-arithmetic step (0 on rational paths)."""
+    """An exact count, the route that produced it (``method``: FORMULA, or
+    ORACLE_FALLBACK when square_count enumerates an even modulus), and the
+    worst rounding residual of any complex-arithmetic step (0 on exact
+    routes)."""
 
     count: int
     method: str

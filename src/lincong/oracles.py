@@ -121,16 +121,6 @@ def oracle_solutions(
     return out
 
 
-def find_restricted_solution(
-    spec: CongruenceSpec,
-    restriction: str = "square",
-    budget: OracleBudget | None = None,
-) -> tuple[int, ...] | None:
-    """First solution in lexicographic order, or None when none exists."""
-    hits = oracle_solutions(spec, restriction, budget, limit=1)
-    return hits[0] if hits else None
-
-
 def _domain(n: int, restriction: str):
     """The residues one slot ranges over, in increasing order: all of
     [0, n), or the squares mod n."""

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines.  Every tolerance and bound is pinned here; nothing is deferred.
 """
 
+import cmath
 import itertools
 import math
 import subprocess
@@ -23,6 +24,11 @@ def report(num, name, detail):
     print(PASS.format(num=num, name=name, detail=detail))
 
 
+def e(num, den):
+    """e(num/den) = exp(2*pi*i*num/den)."""
+    return cmath.exp(2j * cmath.pi * (num % den) / den)
+
+
 def test_01_paper_golden_values():
     t0 = time.perf_counter()
     assert formulas.square_count(CongruenceSpec(27, (1, 1), 1)).count == 4
@@ -31,7 +37,7 @@ def test_01_paper_golden_values():
     assert formulas.square_count(CongruenceSpec(9, (1, 1), 3)).count == 0
     assert formulas.square_count(CongruenceSpec(9, (1, 1), 2)).count == 3
     assert 3 == 3 * (3 + 1) // 4
-    assert formulas.square_count_corollary(3, 2, CongruenceSpec(9, (1, 1), 2)).count == 3
+    assert oracles.oracle_count(CongruenceSpec(9, (1, 1), 2), "square") == 3
     assert formulas.order_blocks_count(BlockSpec(6, ((2, 2), (2, 3)), 5)).count == 63
     assert formulas.order_blocks_count(BlockSpec(4, ((2, 1), (2, 3)), 1)).count == 24
     elapsed = time.perf_counter() - t0
@@ -158,26 +164,39 @@ def test_07_machinery_identities():
     # Hoelder closed form vs the literal unit sum
     for n in range(1, 201):
         for b in range(n):
-            assert arith.ramanujan_sum(n, b) == arith.ramanujan_sum_direct(n, b)
-    # Gauss closed forms vs direct sums
+            units = sum(e(j * b, n) for j in range(1, n + 1) if math.gcd(j, n) == 1)
+            assert abs(arith.ramanujan_sum(n, b) - units) < 1e-6, (n, b)
     for p in (3, 5, 7):
         for ell in (1, 2, 3):
-            chi = characters.legendre_character(p**ell, p)
-            for m in range(p**ell):
-                direct = characters.gauss_sum_direct(chi, m)
-                assert abs(direct - characters.gauss_sum_real_prime_power(p, ell, m)) < 1e-6
-                assert abs(direct - characters.gauss_sum_closed(chi, m)) < 1e-6
-    # square-indicator decomposition
-    for p in (3, 5, 7):
-        for ell in (1, 2, 3):
-            for m in range(p**ell):
-                lhs, rhs = characters.square_decomposition_identity(p, ell, m)
-                assert abs(lhs - rhs) < 1e-6
-    # exponential product identity
+            mod = p**ell
+            for m in range(mod):
+                # Gauss closed form vs the literal sum of (x/p) e(m*x/p^ell)
+                gauss = characters.gauss_sum_real_prime_power(p, ell, m)
+                literal = sum(arith.jacobi_symbol(x, p) * e(m * x, mod) for x in range(mod))
+                assert abs(gauss - literal) < 1e-6, (p, ell, m)
+                # square-indicator decomposition: the literal sum over the squares
+                # is 1 + (1/2) * sum over even j < ell of (C + G) mod p^(ell-j)
+                lhs = sum(e(x * m, mod) for x in characters.square_profile(mod).square_set)
+                rhs = 1 + sum(
+                    arith.ramanujan_sum(p ** (ell - j), m)
+                    + characters.gauss_sum_real_prime_power(p, ell - j, m)
+                    for j in range(0, ell, 2)
+                ) / 2
+                assert abs(lhs - rhs) < 1e-6, (p, ell, m)
+    # exponential product identity: prod_j (1 - z e(j*a*m/n)) = (1 - z^(n/d))^d
     for n in range(1, 13):
         for a in range(n):
             for m in range(n):
-                assert characters.product_identity_check(n, a, m) < 1e-6
+                lhs = [1] + [0] * n
+                for j in range(1, n + 1):
+                    w = e(j * a * m, n)
+                    for t in range(j, 0, -1):
+                        lhs[t] -= w * lhs[t - 1]
+                d = math.gcd(a * m, n)
+                rhs = [0] * (n + 1)
+                for i in range(d + 1):
+                    rhs[i * n // d] = (-1) ** i * math.comb(d, i)
+                assert max(abs(x - y) for x, y in zip(lhs, rhs)) < 1e-6, (n, a, m)
     # s/q multiplicativity and the prime-power recursion
     for n1 in range(1, 51):
         for n2 in range(n1, 51):

@@ -1,5 +1,6 @@
 """Elementary arithmetic layer: factorization, symbols, Ramanujan sums."""
 
+import cmath
 import math
 from fractions import Fraction
 
@@ -7,8 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lincong import arith
+from lincong import arith, cli
 from lincong.errors import ConsistencyError, DomainError
+
+# the ramanujan mode's oracle: sum over d | gcd(n, b) of mu(n/d)*d for every b
+divisor_form = cli.MODE_TABLE["ramanujan"].oracle
+
+
+def unit_sum(n, b):
+    """C_n(b) summed literally: e(j*b/n) over the units j in [1, n]."""
+    return sum(
+        cmath.exp(2j * cmath.pi * (j * b % n) / n) for j in range(1, n + 1) if math.gcd(j, n) == 1
+    )
 
 
 def test_factorize_examples():
@@ -116,9 +127,9 @@ def test_round_complex_to_int():
 
 
 def test_ramanujan_direct_examples():
-    assert all(arith.ramanujan_sum_direct(1, b) == 1 for b in range(-3, 4))
-    assert arith.ramanujan_sum_direct(6, 1) == 1  # e(1/6)+e(5/6) = 2cos(pi/3)
-    assert arith.ramanujan_sum_direct(9, 3) == -3
+    assert divisor_form(1, None, None) == [1]
+    assert divisor_form(6, None, None)[1] == 1  # e(1/6)+e(5/6) = 2cos(pi/3)
+    assert divisor_form(9, None, None)[3] == -3
 
 
 def test_ramanujan_holder_examples():
@@ -132,7 +143,7 @@ def test_ramanujan_holder_examples():
 def test_holder_equals_direct():
     for n in range(1, 101):
         for b in range(n):
-            assert arith.ramanujan_sum(n, b) == arith.ramanujan_sum_direct(n, b)
+            assert abs(arith.ramanujan_sum(n, b) - unit_sum(n, b)) < 1e-6, (n, b)
 
 
 def test_ramanujan_multiplicative():
@@ -155,8 +166,10 @@ def test_ramanujan_even_in_b():
 @settings(max_examples=200)
 @given(st.integers(1, 120), st.integers(-240, 240))
 def test_ramanujan_integer_valued(n, b):
-    # the direct sum must round cleanly (residual < 1e-6) for any input
-    arith.ramanujan_sum_direct(n, b)
+    # the divisor form, Hoelder's form and the literal sum agree for any input
+    value = divisor_form(n, None, None)[b % n]
+    assert value == arith.ramanujan_sum(n, b)
+    assert abs(unit_sum(n, b) - value) < 1e-6
 
 
 def test_divisors():

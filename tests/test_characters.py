@@ -1,89 +1,56 @@
-"""Characters, Gauss sums, DFT, and the squares-mod-n machinery."""
+"""The real Gauss sum, the squares-mod-n machinery, and the lemmas behind
+the square and order counters, each checked against a literal sum."""
 
+import cmath
 import math
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from lincong import arith, characters
+from lincong import arith
 from lincong.characters import (
-    PeriodicFunction,
-    dft,
-    gauss_sum_closed,
-    gauss_sum_direct,
     gauss_sum_real_prime_power,
-    gauss_sum_real_primitive,
-    idft,
-    legendre_character,
-    principal_character,
-    product_identity_check,
     sqrt_mod_prime_power,
-    square_decomposition_identity,
     square_indicator,
     square_profile,
 )
-from lincong.errors import DomainError
 
 SQRT3 = math.sqrt(3)
 
 
-def test_character_invariants():
-    chi = principal_character(6)
-    assert chi.conductor == 1
-    chi = legendre_character(9, 3)
-    assert chi.conductor == 3
-    with pytest.raises(DomainError):
-        legendre_character(10, 3)  # 3 does not divide 10
-    with pytest.raises(DomainError):
-        legendre_character(9, 9)  # not prime
-    with pytest.raises(DomainError):
-        legendre_character(4, 2)  # even
+def e(num, den):
+    """e(num/den) = exp(2*pi*i*num/den)."""
+    return cmath.exp(2j * cmath.pi * (num % den) / den)
 
 
-def test_chi_eval_examples():
-    chi0 = principal_character(6)
-    assert characters.chi_eval(chi0, 5) == 1
-    assert characters.chi_eval(chi0, 3) == 0
-    chi = legendre_character(9, 3)
-    assert characters.chi_eval(chi, 2) == -1  # 2 is a nonresidue mod 3
-    assert characters.chi_eval(chi, 3) == 0
+def literal_gauss(n, p, m):
+    """Sum of chi(x) e(m*x/n) over x in [1, n], chi the character mod n
+    induced by the Legendre symbol mod p."""
+    return sum(
+        arith.jacobi_symbol(x, p) * e(m * x, n) for x in range(1, n + 1) if math.gcd(x, n) == 1
+    )
 
 
 def test_gauss_direct_examples():
-    # principal character: the Gauss sum is the Ramanujan sum
+    # principal character: the literal sum over the units is the Ramanujan sum
     for n in (4, 6, 9, 10):
-        chi0 = principal_character(n)
         for m in range(n):
-            assert abs(gauss_sum_direct(chi0, m) - arith.ramanujan_sum(n, m)) < 1e-9
-    chi3 = legendre_character(3, 3)
-    assert abs(gauss_sum_direct(chi3, 1) - 1j * SQRT3) < 1e-12
+            units = sum(e(m * x, n) for x in range(1, n + 1) if math.gcd(x, n) == 1)
+            assert abs(units - arith.ramanujan_sum(n, m)) < 1e-9
+    assert abs(literal_gauss(3, 3, 1) - 1j * SQRT3) < 1e-12
     # non-principal character at m = 0: orthogonality
     for n, p in ((9, 3), (15, 3), (25, 5)):
-        assert abs(gauss_sum_direct(legendre_character(n, p), 0)) < 1e-9
+        assert abs(literal_gauss(n, p, 0)) < 1e-9
 
 
 def test_gauss_real_primitive():
-    assert abs(gauss_sum_real_primitive(5) - math.sqrt(5)) < 1e-12
-    assert abs(gauss_sum_real_primitive(3) - 1j * SQRT3) < 1e-12
-    assert gauss_sum_real_primitive(1) == 1
-    with pytest.raises(DomainError):
-        gauss_sum_real_primitive(6)
-    with pytest.raises(DomainError):
-        gauss_sum_real_primitive(9)
+    # Gauss's evaluation at a prime: tau = epsilon_p * sqrt(p), so tau^2 = (-1/p) * p
+    for p in (3, 5, 7, 11, 13, 17, 19, 23):
+        tau = gauss_sum_real_prime_power(p, 1, 1)
+        assert abs(tau - literal_gauss(p, p, 1)) < 1e-9
+        assert abs(tau * tau - arith.jacobi_symbol(-1, p) * p) < 1e-9
 
 
-def test_gauss_closed_examples():
-    chi9 = legendre_character(9, 3)
-    assert abs(gauss_sum_closed(chi9, 1)) < 1e-12
-    assert abs(gauss_sum_closed(chi9, 3) - 3j * SQRT3) < 1e-12
-    chi3 = legendre_character(3, 3)
-    assert abs(gauss_sum_closed(chi3, 2) + 1j * SQRT3) < 1e-12
-    with pytest.raises(DomainError):
-        gauss_sum_closed(principal_character(9), 1)
-
-
-# conductor p | modulus, moduli up to 375 per the contract
+# conductor p | modulus, moduli up to 375
 CLOSED_FORM_MODULI = [
     (3, 3), (9, 3), (27, 3), (81, 3), (243, 3),
     (5, 5), (25, 5), (125, 5), (375, 5), (375, 3),
@@ -96,52 +63,36 @@ CLOSED_FORM_MODULI = [
 
 @pytest.mark.parametrize("n,p", CLOSED_FORM_MODULI)
 def test_gauss_closed_equals_direct(n, p):
-    chi = legendre_character(n, p)
+    # CRT splits n = q*r with q = p^ell and p not dividing r: the Gauss sum of
+    # the character mod n induced by (./p) is G_q(m*s) * C_r(m), s = r^-1 mod q
+    ell = dict(arith.factorize(n).factors)[p]
+    q, r = p**ell, n // p**ell
+    s = pow(r, -1, q)
     for m in range(n):
-        direct = gauss_sum_direct(chi, m)
-        closed = gauss_sum_closed(chi, m)
-        assert abs(direct - closed) < 1e-6, (n, p, m)
+        closed = gauss_sum_real_prime_power(p, ell, m * s) * arith.ramanujan_sum(r, m)
+        assert abs(literal_gauss(n, p, m) - closed) < 1e-6, (n, p, m)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 @pytest.mark.parametrize("ell", (1, 2, 3))
 def test_gauss_prime_power_equals_direct(p, ell):
-    chi = legendre_character(p**ell, p)
     for m in range(p**ell):
-        direct = gauss_sum_direct(chi, m)
-        closed = gauss_sum_real_prime_power(p, ell, m)
-        assert abs(direct - closed) < 1e-6, (p, ell, m)
+        direct = literal_gauss(p**ell, p, m)
+        assert abs(direct - gauss_sum_real_prime_power(p, ell, m)) < 1e-6, (p, ell, m)
+
+
+def test_gauss_closed_examples():
+    # mod 9 it vanishes unless gcd(m, 9) = 3, and is then (u/3) * 3i*sqrt(3), u = m/3
+    for m in range(9):
+        expected = {3: 3j * SQRT3, 6: -3j * SQRT3}.get(m, 0)
+        assert abs(gauss_sum_real_prime_power(3, 2, m) - expected) < 1e-12, m
+    assert abs(gauss_sum_real_prime_power(3, 1, 2) + 1j * SQRT3) < 1e-12
 
 
 def test_gauss_prime_power_examples():
     assert abs(gauss_sum_real_prime_power(3, 1, 1) - 1j * SQRT3) < 1e-12
     assert gauss_sum_real_prime_power(3, 2, 1) == 0
     assert abs(gauss_sum_real_prime_power(3, 2, 3) - 1j * 3 * SQRT3) < 1e-12
-
-
-def test_dft_examples():
-    ones5 = PeriodicFunction((1,) * 5)
-    assert abs(dft(ones5, 0) - 5) < 1e-12
-    assert abs(dft(ones5, 1)) < 1e-12
-    units9 = PeriodicFunction(tuple(int(math.gcd(j, 9) == 1) for j in range(9)))
-    assert abs(dft(units9, 3) - (-3)) < 1e-9  # equals C_9(3) by evenness
-
-
-def test_idft_examples():
-    ones5 = PeriodicFunction((1,) * 5)
-    fhat = PeriodicFunction(tuple(dft(ones5, b) for b in range(5)))
-    for b in range(5):
-        assert abs(idft(fhat, b) - 1) < 1e-9
-    allones4 = PeriodicFunction((1,) * 4)
-    assert abs(idft(allones4, 0) - 1) < 1e-12
-
-
-@given(st.lists(st.integers(-50, 50), min_size=12, max_size=12))
-def test_dft_roundtrip_random(values):
-    f = PeriodicFunction(tuple(values))
-    fhat = PeriodicFunction(tuple(dft(f, b) for b in range(12)))
-    for b in range(12):
-        assert abs(idft(fhat, b) - values[b]) < 1e-9
 
 
 def test_sqrt_mod_prime_power_examples():
@@ -202,27 +153,55 @@ def test_square_count_recursion(p):
         assert s_r.s == s_r.q + s_prev.s
 
 
+def square_decomposition(p, ell, m):
+    """Both sides of the square-indicator decomposition modulo p^ell: the
+    literal sum of e(x*m/p^ell) over the squares x, and
+    1 + (1/2) * sum over even j < ell of (C_{p^(ell-j)}(m) + G_{p^(ell-j)}(m))."""
+    mod = p**ell
+    lhs = sum(e(x * m, mod) for x in square_profile(mod).square_set)
+    rhs = 1 + sum(
+        arith.ramanujan_sum(p ** (ell - j), m) + gauss_sum_real_prime_power(p, ell - j, m)
+        for j in range(0, ell, 2)
+    ) / 2
+    return lhs, rhs
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 @pytest.mark.parametrize("ell", (1, 2, 3))
 def test_square_decomposition_identity(p, ell):
     for m in range(p**ell):
-        lhs, rhs = square_decomposition_identity(p, ell, m)
+        lhs, rhs = square_decomposition(p, ell, m)
         assert abs(lhs - rhs) < 1e-6, (p, ell, m)
 
 
 def test_square_decomposition_counting_case():
-    lhs, rhs = square_decomposition_identity(3, 1, 0)
+    lhs, rhs = square_decomposition(3, 1, 0)
     assert abs(lhs - 2) < 1e-9 and abs(rhs - 2) < 1e-9
 
 
+def product_identity_gap(n, a, m):
+    """Max coefficient gap between prod_{j=1..n} (1 - z e(j*a*m/n)) and
+    (1 - z^(n/d))^d with d = gcd(a*m, n), both expanded to degree n."""
+    lhs = [1] + [0] * n
+    for j in range(1, n + 1):
+        w = e(j * a * m, n)
+        for t in range(j, 0, -1):
+            lhs[t] -= w * lhs[t - 1]
+    d = math.gcd(a * m, n)
+    rhs = [0] * (n + 1)
+    for i in range(d + 1):
+        rhs[i * n // d] = (-1) ** i * math.comb(d, i)
+    return max(abs(x - y) for x, y in zip(lhs, rhs))
+
+
 def test_product_identity_examples():
-    assert product_identity_check(4, 1, 0) < 1e-12
-    assert product_identity_check(6, 2, 3) < 1e-6
-    assert product_identity_check(5, 1, 1) < 1e-6
+    assert product_identity_gap(4, 1, 0) < 1e-12
+    assert product_identity_gap(6, 2, 3) < 1e-6
+    assert product_identity_gap(5, 1, 1) < 1e-6
 
 
 def test_product_identity_grid():
     for n in range(1, 13):
         for a in range(n):
             for m in range(n):
-                assert product_identity_check(n, a, m) < 1e-6, (n, a, m)
+                assert product_identity_gap(n, a, m) < 1e-6, (n, a, m)

@@ -70,6 +70,16 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["count", "--mode", "square", "-n", "27"], capsys)[0] == 2
     assert run_cli(["count", "--mode", "strict", "-n", "5", "-a", "1,2", "-k", "2", "-b", "0"], capsys)[0] == 2
     assert run_cli(["count", "--mode", "blocks", "-n", "6", "--blocks", "2-2", "-b", "1"], capsys)[0] == 2
+    # grid bounds below 1 are refused before any row is printed
+    for argv in (
+        ["verify", "--mode", "all", "--n-max", "2", "--k-max", "0"],
+        ["verify", "--mode", "blocks", "--n-max", "2", "--k-max", "0"],
+        ["verify", "--mode", "strict", "--n-max", "3", "--k-max", "-1"],
+        ["verify", "--mode", "all", "--n-max", "2", "--jobs", "0"],
+        ["bench", "--mode", "square", "--n-list", "27", "--k-max", "0"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and "must be >= 1" in err, argv
 
 
 def test_count_k_must_match_the_instance(capsys):
@@ -151,6 +161,18 @@ def test_verify_ramanujan(capsys):
     code, out, _ = run_cli(["verify", "--mode", "ramanujan", "--n-max", "40"], capsys)
     assert code == 0
     assert json_lines(out)[-1]["mismatches"] == 0
+
+
+def test_ramanujan_oracle_is_independent_of_the_counter(capsys, monkeypatch):
+    original = arith.ramanujan_sum
+
+    def wrong_once(n, b):
+        return original(n, b) + (1 if (n, b) == (12, 5) else 0)
+
+    monkeypatch.setattr(arith, "ramanujan_sum", wrong_once)
+    code, out, _ = run_cli(["verify", "--mode", "ramanujan", "--n-max", "12"], capsys)
+    assert code == 1
+    assert json_lines(out)[-1]["mismatches"] >= 1
 
 
 def swept_moduli(out):

@@ -80,22 +80,12 @@ def test_square_count_multiplicative_spot():
 
 
 def test_square_corollary_examples():
-    assert formulas.square_count_corollary(3, 2, CongruenceSpec(9, (1, 1), 2)).count == 3
-    assert formulas.square_count_corollary(3, 1, CongruenceSpec(3, (1,), 1)).count == 1
+    # the unit case: prime-power modulus, coefficients and target all units
+    assert formulas.square_count(CongruenceSpec(3, (1,), 1)).count == 1
     # pairs from the squares {0, 1, 4} mod 5 summing to 1: (0,1) and (1,0)
-    res = formulas.square_count_corollary(5, 1, CongruenceSpec(5, (1, 1), 1))
-    assert res.count == 2
+    res = formulas.square_count(CongruenceSpec(5, (1, 1), 1))
+    assert res.count == 2 and res.method == "formula"
     assert res.count == oracles.oracle_count(CongruenceSpec(5, (1, 1), 1), "square")
-    assert res.method == "corollary-fast-path"
-
-
-def test_square_corollary_preconditions():
-    with pytest.raises(DomainError):
-        formulas.square_count_corollary(3, 2, CongruenceSpec(27, (1, 1), 1))
-    with pytest.raises(DomainError):
-        formulas.square_count_corollary(3, 2, CongruenceSpec(9, (3, 1), 1))
-    with pytest.raises(DomainError):
-        formulas.square_count_corollary(3, 2, CongruenceSpec(9, (1, 1), 3))
 
 
 def test_square_corollary_agrees_with_formula():
@@ -105,10 +95,10 @@ def test_square_corollary_agrees_with_formula():
             units = [c for c in range(1, n) if math.gcd(c, n) == 1]
             for k in (1, 2, 3):
                 for coeffs in itertools.combinations_with_replacement(units[:4], k):
+                    hist = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "square")
                     for b in units[:6]:
-                        spec = CongruenceSpec(n, coeffs, b)
-                        fast = formulas.square_count_corollary(p, ell, spec)
-                        assert fast.count == formulas.square_count(spec).count, (p, ell, coeffs, b)
+                        count = formulas.square_count(CongruenceSpec(n, coeffs, b)).count
+                        assert count == hist[b], (p, ell, coeffs, b)
 
 
 def test_square_solution_exists_examples():
