@@ -52,10 +52,27 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
+DEFAULT_BUDGET = 10**8
+
+
+def _at_least_one(args, *flags: str) -> None:
+    """Usage error when one of the given flags is below 1; an absent flag
+    (None, or not a flag of this command) passes."""
+    for flag in flags:
+        value = getattr(args, flag, None)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+
+
+def _budget(args) -> int:
+    """--budget, or DEFAULT_BUDGET when it is not given."""
+    return DEFAULT_BUDGET if args.budget is None else args.budget
+
+
 def _moduli(args, default) -> tuple[int, ...] | range:
     """The moduli of a verify or bench grid: --n-list when given, else
     1..--n-max when given, else the mode's ``default``.  Every grid starts
-    here, so the grid bounds --k-max and --jobs are checked here too."""
+    here, so --k-max, --jobs and --budget are checked here too."""
     if args.n_list is not None:
         ns = _parse_ints(args.n_list)
     elif args.n_max is not None:
@@ -64,10 +81,7 @@ def _moduli(args, default) -> tuple[int, ...] | range:
         ns = default
     if any(n < 1 for n in ns):
         raise UsageError(f"moduli must be >= 1, got {args.n_list or args.n_max}")
-    for flag in ("k_max", "jobs"):
-        value = getattr(args, flag, None)  # bench has no --jobs
-        if value is not None and value < 1:
-            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
+    _at_least_one(args, "k_max", "jobs", "budget")  # bench has no --jobs
     return ns
 
 
@@ -189,6 +203,15 @@ def _blocks_grid(args):
                 yield n, blocks
 
 
+def _ramanujan_grid(args):
+    # each case is every b for one n: there is no k to bound, and the exact
+    # oracle charges no budget
+    for flag in ("k_max", "budget"):
+        if getattr(args, flag) is not None:
+            raise UsageError(f"mode ramanujan takes no --{flag.replace('_', '-')}")
+    return ((n, None) for n in _moduli(args, range(1, 201)))
+
+
 def _strict_bench(args):
     n_list = _moduli(args, (100, 1000, 10000))
     k_list = (5, 10) if args.k_max is None else tuple(range(5, args.k_max + 1, 5)) or (args.k_max,)
@@ -264,7 +287,7 @@ MODE_TABLE = {
             sum(arith.moebius(n // d) * d for d in arith.divisors(math.gcd(n, b)))
             for b in range(n)
         ],
-        verify_grid=lambda args: ((n, None) for n in _moduli(args, range(1, 201))),
+        verify_grid=_ramanujan_grid,
         golden=((9, None, 3, -3), (6, None, 1, 1)),
     ),
 }
@@ -280,9 +303,10 @@ def build_parser() -> _Parser:
     # each command registers only the flags it reads, so a stray one is a usage error
     for p in (count, verify, bench):
         p.add_argument("--mode", choices=MODES, default="all")
-        p.add_argument("--budget", type=int, default=10**8,
+        p.add_argument("--budget", type=int,
                        help="most tuples an oracle histogram may count per case, charged "
-                            "before it is built; also bounds count's oracle fallback")
+                            f"before it is built (default {DEFAULT_BUDGET}); also bounds "
+                            "count's oracle fallback")
     count.add_argument("-n", type=int, help="modulus")
     count.add_argument("-k", type=int, help="number of variables")
     count.add_argument("-a", type=str, help="comma-separated coefficients, e.g. 1,1,3")
@@ -340,6 +364,7 @@ class Emitter:
 def cmd_count(args) -> int:
     if args.n is None:
         raise UsageError("count requires -n")
+    _at_least_one(args, "budget")
     mode = MODE_TABLE[args.mode]
     t0 = time.perf_counter()
     params = mode.parse(args)
@@ -348,7 +373,7 @@ def cmd_count(args) -> int:
         if "k" not in rec:
             raise UsageError(f"mode {args.mode} takes no -k")
         raise UsageError(f"-k {args.k} disagrees with the instance, which has k = {rec['k']}")
-    result = mode.count(args.n, params, args.b, args.budget)
+    result = mode.count(args.n, params, args.b, _budget(args))
     if "blocks" in rec:  # count has always printed the block label after b
         rec["blocks"] = rec.pop("blocks")
     rec.update(count=result.count, method=result.method, residual=result.residual)
@@ -392,7 +417,7 @@ def _case_rows(case: tuple) -> dict:
 
 def cmd_verify(args) -> int:
     grid = MODE_TABLE[args.mode].verify_grid(args)
-    cases = [(args.mode, n, params, args.budget) for n, params in grid]
+    cases = [(args.mode, n, params, _budget(args)) for n, params in grid]
     emitter = Emitter(args.format)
     total_rows = mismatches = skipped = 0
     max_residual = 0.0
@@ -439,9 +464,10 @@ def cmd_bench(args) -> int:
     grid = mode.bench_grid(args)
     writer = csv.writer(sys.stdout)
     writer.writerow(["n", "k", "mode", "t_formula_s", "t_oracle_s", "speedup"])
+    budget = _budget(args)
     for n, k, params in grid:
-        t_formula = _timed(mode.count, n, params, 1, args.budget)
-        t_oracle = _timed(mode.oracle, n, params, OracleBudget(args.budget))
+        t_formula = _timed(mode.count, n, params, 1, budget)
+        t_oracle = _timed(mode.oracle, n, params, OracleBudget(budget))
         speedup = None
         if t_formula is not None and t_oracle is not None:
             speedup = t_oracle / t_formula if t_formula > 0 else math.inf
@@ -457,7 +483,8 @@ def cmd_bench(args) -> int:
 def _check_golden(mode: _Mode) -> None:
     """The counter and the oracle of ``mode`` give its golden values."""
     for n, params, b, expected in mode.golden:
-        values = [mode.count(n, params, b, 10**8).count, mode.oracle(n, params, OracleBudget())[b]]
+        values = [mode.count(n, params, b, DEFAULT_BUDGET).count,
+                  mode.oracle(n, params, OracleBudget())[b]]
         assert values == [expected] * 2, (n, params, b, values)
 
 

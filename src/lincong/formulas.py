@@ -4,20 +4,31 @@ Each counter returns a CountResult whose count is exact.  Divisor-sum
 formulas (strict order, distinct, common-gcd blocks) run in all-integer or
 exact-rational arithmetic; the square counter and the general block counter
 accumulate complex roots of unity and round at the end, recording the
-rounding residual.  The general block counter keeps its target-independent
-work in small caches, one orbit plan per (n, sizes, coefficients) and one
-table of roots per n.  The caches change the time only: each call adds the
-same floats in the same order as a sum rebuilt on every call, so counts,
-residuals and errors stay bit for bit the same.  Every counter is verified
-against the independent oracle histograms in the test suite.
+rounding residual.
+
+Both float routes share work without changing a float operation: each call
+adds the same floats in the same order as the plain sum, so counts,
+residuals and errors stay bit for bit the same.  The general block counter
+keeps its target-independent work in small caches, one orbit plan per
+(n, sizes, coefficients) and one table of roots per n.  The square counter
+shares work within a call only: one table of terms per prime power, and the
+products of all coefficient subsets built by doubling, 2**10 at a time.  It
+caches nothing across calls.  A table keyed on the coefficients would not
+hit when every target comes with fresh coefficients, and one keyed on the
+prime power alone would keep serving terms computed before a patched
+epsilon or Gauss sum, which the self-test's mutation check relies on seeing.
+Every counter is verified against the independent oracle histograms in the
+test suite.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from fractions import Fraction
 from functools import lru_cache
+from operator import add
 
 from . import arith, characters, oracles
 from .errors import ConsistencyError, DomainError
@@ -50,6 +61,11 @@ def _square_term(p: int, ell: int, x: int) -> complex:
     return acc
 
 
+# Positions whose subset products one chunk of _square_count_prime_power
+# builds by doubling: at most 2**10 complex products are live at once.
+_CHUNK_BITS = 10
+
+
 def _square_count_prime_power(
     p: int, ell: int, coeffs: tuple[int, ...], b: int
 ) -> tuple[int, float]:
@@ -62,22 +78,52 @@ def _square_count_prime_power(
     combination of Ramanujan and Gauss sums.  The subset sum runs over all
     nonempty K including the full index set.  The m-independent first term is
     taken in closed form to keep float error out of the dominant part.
+
+    T_i(m) depends on a_i*m mod p^ell only, so one table of p^ell terms
+    serves every position.  For each m the products
+    e(-b*m/p^ell) * T_i1(m) * ... * T_ir(m), i1 < ... < ir, of all subsets
+    come by doubling: position i appends each product so far times T_i(m),
+    so index mask(K) holds the left-to-right product of K.  The first
+    _CHUNK_BITS positions are doubled per m and the subsets of the others
+    are taken one chunk at a time, so at most 2**_CHUNK_BITS products are
+    live; the S_K go to two flat arrays of doubles.  Each S_K adds its terms
+    in increasing m, and the total adds the S_K by size, then in
+    itertools.combinations order: the float operations of a loop that
+    multiplies every product anew, so the count, the residual and any error
+    are bit for bit the same.  Nothing outlives the call (see the module
+    docstring).
     """
     mod = p**ell
     k = len(coeffs)
-    terms = [[_square_term(p, ell, a * m) for m in range(1, mod + 1)] for a in coeffs]
-    phases = [arith.root_of_unity(-b * m, mod) for m in range(1, mod + 1)]
+    table = [_square_term(p, ell, x) for x in range(mod)]
+    residues = range(1, mod + 1)
+    phases = [arith.root_of_unity(-b * m, mod) for m in residues]
+    rows = [[table[a * m % mod] for a in coeffs] for m in residues]
+    low = min(k, _CHUNK_BITS)
+    real = array("d", [0.0]) * (1 << k)
+    imag = array("d", [0.0]) * (1 << k)
+    for high in range(1 << (k - low)):
+        chosen = [i for i in range(low, k) if high >> (i - low) & 1]
+        sums = [0j] * (1 << low)
+        for phase, row in zip(phases, rows):
+            prods = [phase]
+            for t in row[:low]:
+                prods += [v * t for v in prods]
+            for i in chosen:
+                t = row[i]
+                prods = [v * t for v in prods]
+            # plain + in m order; sum() compensates float sums from 3.12 on
+            sums = list(map(add, sums, prods))
+        start = high << low
+        real[start : start + len(sums)] = array("d", [s.real for s in sums])
+        imag[start : start + len(sums)] = array("d", [s.imag for s in sums])
     acc = complex(mod if b % mod == 0 else 0)
+    bits = [1 << i for i in range(k)]
     for size in range(1, k + 1):
         weight = 0.5**size
-        for subset in itertools.combinations(range(k), size):
-            s_k = 0j
-            for idx in range(mod):
-                prod = phases[idx]
-                for i in subset:
-                    prod *= terms[i][idx]
-                s_k += prod
-            acc += weight * s_k
+        for subset in itertools.combinations(bits, size):
+            mask = sum(subset)  # disjoint bits, so the integer sum is the mask
+            acc += weight * complex(real[mask], imag[mask])
     value, resid = arith.round_complex_to_int(acc / mod)
     if value < 0:
         raise ConsistencyError(f"negative square count {value} mod {p}^{ell}")

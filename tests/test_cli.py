@@ -77,9 +77,23 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--mode", "strict", "--n-max", "3", "--k-max", "-1"],
         ["verify", "--mode", "all", "--n-max", "2", "--jobs", "0"],
         ["bench", "--mode", "square", "--n-list", "27", "--k-max", "0"],
+        # a budget below 1 would refuse every histogram and skip every case
+        ["verify", "--mode", "all", "--n-max", "3", "--budget", "-5"],
+        ["verify", "--mode", "square", "--n-list", "9", "--budget", "0"],
+        ["bench", "--mode", "square", "--n-list", "27", "--budget", "0"],
+        ["count", "--mode", "all", "-n", "6", "-a", "2,4", "-b", "4", "--budget", "0"],
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "") and "must be >= 1" in err, argv
+    # the ramanujan grid has no k and its oracle charges no budget, so an
+    # explicit --k-max or --budget cannot be honoured
+    for argv in (
+        ["verify", "--mode", "ramanujan", "--n-max", "5", "--k-max", "7"],
+        ["verify", "--mode", "ramanujan", "--n-max", "5", "--budget", "1"],
+        ["verify", "--mode", "ramanujan", "--n-max", "5", "--budget", str(10**8)],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (2, "") and "mode ramanujan takes no" in err, argv
 
 
 def test_count_k_must_match_the_instance(capsys):
@@ -225,12 +239,17 @@ def strip_timing(records):
 
 # Grid flags small enough for every mode; --budget 20 turns the larger cases
 # of some modes into skip rows.
-TINY_GRID = ["--n-max", "5", "--k-max", "2", "--n-list", "3,8", "--budget", "20"]
+def tiny_verify(mode):
+    """verify argv on a tiny grid; the ramanujan grid takes no --k-max or --budget."""
+    argv = ["verify", "--mode", mode, "--n-max", "5", "--n-list", "3,8"]
+    if mode != "ramanujan":
+        argv += ["--k-max", "2", "--budget", "20"]
+    return argv
 
 
 def test_verify_jobs_matches_serial(capsys):
     for mode in cli.MODES:
-        argv = ["verify", "--mode", mode, *TINY_GRID]
+        argv = tiny_verify(mode)
         serial = run_cli(argv, capsys)
         parallel = run_cli(argv + ["--jobs", "2"], capsys)
         assert serial[0] == parallel[0] == 0, mode
@@ -239,7 +258,7 @@ def test_verify_jobs_matches_serial(capsys):
 
 @pytest.mark.parametrize("mode", cli.MODES)
 def test_verify_csv_matches_json(mode, capsys):
-    argv = ["verify", "--mode", mode, *TINY_GRID]
+    argv = tiny_verify(mode)
     _, as_json, _ = run_cli(argv, capsys)
     _, as_csv, _ = run_cli(argv + ["--format", "csv"], capsys)
     *records, summary = json_lines(as_json)

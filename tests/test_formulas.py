@@ -7,11 +7,12 @@ error contracts, and a small oracle sweep.
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
-from lincong import arith, formulas, oracles
+from lincong import arith, characters, formulas, oracles
 from lincong.errors import BudgetExceededError, ConsistencyError, DomainError
 from lincong.model import FORMULA, BlockSpec, CongruenceSpec, CountResult, OracleBudget
 
@@ -382,6 +383,68 @@ def test_blocks_cache_keys_on_coefficients_and_sizes():
         for blocks, hist in zip(specs, hists):
             got = formulas.order_blocks_count(BlockSpec(n, blocks, b))
             assert got.count == hist[b], (blocks, b)
+
+
+def _square_per_subset_reference(spec):
+    """The odd-n square count with every subset product multiplied anew: a
+    k x p^ell table of terms, then for each nonempty subset K, by size and
+    in itertools.combinations order, the sum over m of
+    e(-b*m/p^ell) * T_i1(m) * ... * T_ir(m), in the float order
+    _square_count_prime_power must keep."""
+    total, worst = 1, 0.0
+    for p, ell in arith.factorize(spec.n).factors:
+        mod = p**ell
+        terms = [
+            [formulas._square_term(p, ell, a * m) for m in range(1, mod + 1)]
+            for a in spec.coeffs
+        ]
+        phases = [arith.root_of_unity(-spec.b * m, mod) for m in range(1, mod + 1)]
+        acc = complex(mod if spec.b % mod == 0 else 0)
+        for size in range(1, spec.k + 1):
+            weight = 0.5**size
+            for subset in itertools.combinations(terms, size):
+                s_k = 0j
+                for idx, prod in enumerate(phases):
+                    for column in subset:
+                        prod *= column[idx]
+                    s_k += prod
+                acc += weight * s_k
+        value, resid = arith.round_complex_to_int(acc / mod)
+        if value < 0:
+            raise ConsistencyError(f"negative square count {value} mod {p}^{ell}")
+        total *= value
+        worst = max(worst, resid)
+    return CountResult(total, FORMULA, worst)
+
+
+def test_square_count_bit_identical_to_per_subset_loop():
+    # shared prefix products must not change a single float operation: same
+    # count, same residual bits, same error on every target, on both sides
+    # of the 2**10 chunk boundary (k = 12 only below 25, where the reference
+    # loop alone would take 1.4 s)
+    rng = random.Random(8)
+    specs = []
+    for mod in (3, 5, 9, 25):
+        for k in (1, 3, 10, 11, 12) if mod < 25 else (1, 3, 10, 11):
+            coeffs = tuple(rng.randrange(mod) for _ in range(k))
+            specs += [CongruenceSpec(mod, coeffs, b) for b in range(mod)]
+    # a count the float rounding gets wrong (ROADMAP K3): kept wrong, bit for bit
+    specs.append(CongruenceSpec(49, (1,) * 13, 1))
+    for spec in specs:
+        want = _outcome(_square_per_subset_reference, spec)
+        assert _outcome(formulas.square_count, spec) == want, spec
+
+
+def test_square_count_sees_a_patched_gauss_sum(monkeypatch):
+    # nothing may be cached across calls: a patched Gauss sum changes the
+    # next count of the same instance (or makes it raise)
+    spec = CongruenceSpec(27, (1, 2, 4), 5)
+    before = _outcome(formulas.square_count, spec)
+    real = characters.gauss_sum_real_prime_power
+    monkeypatch.setattr(
+        characters, "gauss_sum_real_prime_power", lambda p, ell, m: -real(p, ell, m)
+    )
+    assert _outcome(formulas.square_count, spec) != before
 
 
 def test_blocks_spec_validation():
