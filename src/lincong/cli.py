@@ -11,6 +11,12 @@ Exit codes: 0 success, 1 selftest/verify mismatch, 2 usage error,
 3 internal-consistency failure.  Records are JSON lines by default or CSV
 with a single header; all output is deterministic for fixed flags (sweep
 rows come out in lexicographic grid order, whatever --jobs is).
+
+A verify case is one oracle histogram checked at every target b.  Its rows
+share mode, n and k, a or blocks, so a case carries those fields once and
+each row as a tuple of the fields that vary; Emitter.case encodes the shared
+fields once per case and writes the case's rows at once, in the same bytes
+as one record per row.
 """
 
 from __future__ import annotations
@@ -108,12 +114,13 @@ class _Signed(NamedTuple):
 
 class _Mode(NamedTuple):
     parse: Callable  # count's arguments -> params; raises UsageError
-    fields: Callable  # (n, params, b) -> record fields k, a or blocks, b
+    fields: Callable  # (n, params, b) -> record fields k, a or blocks, and b last
     count: Callable  # (n, params, b, budget) -> CountResult
     oracle: Callable  # (n, params, OracleBudget) -> count for every b
     verify_grid: Callable  # args -> [(n, params)] in lexicographic order
     golden: tuple  # (n, params, b, count) cases that selftest checks
     bench_grid: Callable | None = None  # args -> [(n, k, params)], at b = 1
+    count_budget: bool = False  # count's counter reads --budget (an oracle fallback)
 
 
 def _parse_coeffs(args):
@@ -239,6 +246,7 @@ MODE_TABLE = {
         bench_grid=lambda args: [(n, k, (None, (1,) * k)) for n in _moduli(args, (27, 81, 243))
                                  for k in range(2, (args.k_max or 3) + 1)],
         golden=((27, (None, (1, 1)), 1, 4), (9, (None, (1, 1)), 3, 0), (9, (None, (1, 1)), 2, 3)),
+        count_budget=True,  # even n falls back to the oracle
     ),
     "strict": _Mode(
         parse=_parse_strict,
@@ -323,31 +331,62 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _csv_cell(val):
+    if val is None:
+        return ""
+    if isinstance(val, (tuple, list)):
+        return " ".join(map(str, val))
+    return val
+
+
 class Emitter:
-    """Writes records as JSON lines or CSV rows with one header."""
+    """Writes records as JSON lines or CSV rows with one header.
+
+    record writes one record; case writes all the rows of one verify case,
+    encoding the fields they share once and the whole case in one write.
+    Both give the same bytes as record called once per row would."""
 
     def __init__(self, fmt: str, stream=None):
         self.fmt = fmt
         self.stream = stream or sys.stdout
         self._csv = None
 
-    def record(self, rec: dict) -> None:
-        if self.fmt == "json":
-            print(json.dumps(rec), file=self.stream)
-            return
+    def _writer(self):
         if self._csv is None:
             self._csv = csv.writer(self.stream)
             self._csv.writerow(CSV_COLUMNS)
-        row = []
-        for col in CSV_COLUMNS:
-            val = rec.get(col)
-            if val is None:
-                row.append("")
-            elif isinstance(val, (tuple, list)):
-                row.append(" ".join(map(str, val)))
-            else:
-                row.append(val)
-        self._csv.writerow(row)
+        return self._csv
+
+    def record(self, rec: dict) -> None:
+        if self.fmt == "json":
+            print(json.dumps(rec), file=self.stream)
+        else:
+            self._writer().writerow([_csv_cell(rec.get(col)) for col in CSV_COLUMNS])
+
+    def case(self, fixed: dict, rows: list[tuple]) -> None:
+        """The rows of one verify case: ``fixed`` holds the fields every row
+        shares (mode, n, and k, a or blocks), and each row is a tuple
+        (b, count, method, residual, wall_time_s, oracle_count, match)."""
+        if self.fmt == "csv":
+            # the columns of CSV_COLUMNS in order; fixed has no b
+            mode, n, k, a, _, blocks = (_csv_cell(fixed.get(col)) for col in CSV_COLUMNS[:6])
+            self._writer().writerows(
+                [mode, n, k, a, b, blocks, count, method, residual, dt, oracle, ok, "ok", ""]
+                for b, count, method, residual, dt, oracle, ok in rows
+            )
+            return
+        # json.dumps(record) with the shared fields and each method name
+        # encoded once.  Counts and b are ints.  The floats are finite, so
+        # float.__repr__ is json's own form for them: round_complex_to_int
+        # rejects non-finite values, and _Signed's residual is always 0.0.
+        head = json.dumps(fixed)[:-1] + ', "b": '
+        methods = {method: json.dumps(method) for method in {row[2] for row in rows}}
+        self.stream.write("".join(
+            f'{head}{b}, "count": {count}, "method": {methods[method]}, '
+            f'"residual": {float.__repr__(residual)}, "wall_time_s": {float.__repr__(dt)}, '
+            f'"oracle_count": {oracle}, "match": {"true" if ok else "false"}, "status": "ok"}}\n'
+            for b, count, method, residual, dt, oracle, ok in rows
+        ))
 
     def summary(self, rec: dict) -> None:
         if self.fmt == "json":
@@ -366,6 +405,8 @@ def cmd_count(args) -> int:
         raise UsageError("count requires -n")
     _at_least_one(args, "budget")
     mode = MODE_TABLE[args.mode]
+    if args.budget is not None and not mode.count_budget:
+        raise UsageError(f"mode {args.mode} takes no --budget")
     t0 = time.perf_counter()
     params = mode.parse(args)
     rec = {"mode": args.mode, "n": args.n, **mode.fields(args.n, params, args.b)}
@@ -386,33 +427,29 @@ def cmd_count(args) -> int:
 # verify
 
 
-def _case_rows(case: tuple) -> dict:
+def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None]:
     """Run one verify case (mode name, n, params, budget): one oracle
-    histogram checks the counter at every target b.  Returns the rows plus
-    mismatch/residual/skip tallies."""
+    histogram checks the counter at every target b.  Returns the fields all
+    rows share (mode, n, and k, a or blocks) and one tuple (b, count,
+    method, residual, wall_time_s, oracle_count, match) per target, as
+    Emitter.case takes them; a case over budget returns its skip record and
+    None."""
     name, n, params, budget = case
     mode = MODE_TABLE[name]
-    rows: list[dict] = []
-    mismatches = 0
-    max_residual = 0.0
+    fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
+    del fixed["b"]  # the last field, so the rows' own fields follow the shared ones
+    rows = []
     try:
         hist = mode.oracle(n, params, OracleBudget(budget))
         for b in range(n):
             t0 = time.perf_counter()
             res = mode.count(n, params, b, budget)
             dt = time.perf_counter() - t0
-            rec = {"mode": name, "n": n, **mode.fields(n, params, b), "count": res.count,
-                   "method": res.method, "residual": res.residual, "wall_time_s": dt,
-                   "oracle_count": hist[b]}
-            ok = res.count == hist[b]
-            rec.update(match=ok, status="ok")
-            rows.append(rec)
-            mismatches += not ok
-            max_residual = max(max_residual, res.residual)
+            rows.append((b, res.count, res.method, res.residual, dt, hist[b],
+                         res.count == hist[b]))
     except BudgetExceededError as exc:
-        rows = [{"mode": name, "n": n, "status": "skipped", "detail": str(exc)}]
-        return {"rows": rows, "mismatches": 0, "max_residual": 0.0, "skipped": 1}
-    return {"rows": rows, "mismatches": mismatches, "max_residual": max_residual, "skipped": 0}
+        return {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}, None
+    return fixed, rows
 
 
 def cmd_verify(args) -> int:
@@ -426,14 +463,15 @@ def cmd_verify(args) -> int:
             outcomes = list(pool.map(_case_rows, cases, chunksize=8))
     else:
         outcomes = map(_case_rows, cases)
-    for outcome in outcomes:
-        for row in outcome["rows"]:
-            emitter.record(row)
-            if row.get("status") == "ok":
-                total_rows += 1
-        mismatches += outcome["mismatches"]
-        skipped += outcome["skipped"]
-        max_residual = max(max_residual, outcome["max_residual"])
+    for fixed, rows in outcomes:
+        if rows is None:
+            emitter.record(fixed)
+            skipped += 1
+            continue
+        emitter.case(fixed, rows)
+        total_rows += len(rows)
+        mismatches += sum(not row[6] for row in rows)
+        max_residual = max(max_residual, *(row[3] for row in rows))
     emitter.summary({"cases": total_rows, "mismatches": mismatches, "skipped": skipped,
                      "max_residual": max_residual})
     return 0 if mismatches == 0 else 1

@@ -268,14 +268,24 @@ def distinct_count_equal_coeffs(n: int, k: int, a: int, b: int) -> CountResult:
 def subset_sum_obstruction(n: int, coeffs) -> tuple[tuple[int, ...], int] | None:
     """The first proper nonempty subset of coefficient positions (smallest
     size first, then lexicographic) whose coefficient sum s has gcd(s, n) > 1,
-    as (positions, s); None when the distinct-count hypothesis holds."""
+    as (positions, s); None when the distinct-count hypothesis holds.
+
+    The sums of all 2**k subsets are built by doubling (bit i of a mask is
+    position i), so the check that passes, as every counted instance does,
+    takes one addition and one gcd per subset.  Only an obstructed tuple
+    walks the subsets in order to name the first one.
+    """
     k = len(coeffs)
+    sums = [0]
+    for c in coeffs:
+        sums += [s + c for s in sums]
+    if all(math.gcd(s, n) == 1 for s in sums[1:-1]):  # the proper nonempty masks
+        return None
     for size in range(1, k):
         for subset in itertools.combinations(range(k), size):
-            s = sum(coeffs[i] for i in subset)
+            s = sums[sum(1 << i for i in subset)]
             if math.gcd(s, n) != 1:
                 return subset, s
-    return None
 
 
 def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:

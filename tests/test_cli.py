@@ -9,6 +9,7 @@ import sys
 import pytest
 
 from lincong import arith, cli, formulas
+from lincong.model import CongruenceSpec
 
 
 def run_cli(argv, capsys):
@@ -94,6 +95,18 @@ def test_usage_errors_exit_2(capsys):
     ):
         code, out, err = run_cli(argv, capsys)
         assert (code, out) == (2, "") and "mode ramanujan takes no" in err, argv
+
+
+def test_count_refuses_budget_where_nothing_reads_it(capsys):
+    # only square's even-n oracle fallback reads --budget; the counters of
+    # the other modes are exact formulas with no oracle to bound
+    for mode in cli.MODES:
+        count_args, _ = COUNT_IN_VERIFY[mode]
+        code, out, err = run_cli(["count", "--mode", mode, *count_args, "--budget", "1"], capsys)
+        if mode == "square":
+            assert code == 0 and json_lines(out)[0]["count"] == 3, mode
+        else:
+            assert (code, out) == (2, "") and f"mode {mode} takes no --budget" in err, mode
 
 
 def test_count_k_must_match_the_instance(capsys):
@@ -351,7 +364,35 @@ def test_selftest_catches_broken_epsilon(capsys, monkeypatch):
     assert "FAIL" in capsys.readouterr().out
 
 
-def test_json_records_roundtrip(capsys):
-    _, out, _ = run_cli(["verify", "--mode", "all", "--n-max", "4", "--k-max", "2"], capsys)
-    for line in out.strip().splitlines():
-        json.loads(line)
+def test_json_records_roundtrip(capsys, monkeypatch):
+    # a case's rows are encoded without json.dumps per row: each line must
+    # still be exactly what json.dumps gives for its record
+    def lines(argv):
+        code, out, _ = run_cli(argv, capsys)
+        for line in out.splitlines():
+            assert line == json.dumps(json.loads(line)), (argv, line)
+        return code, json_lines(out)[:-1]
+
+    records = []
+    for mode in cli.MODES:
+        argv = tiny_verify(mode)
+        for jobs in ("1", "2"):
+            code, recs = lines(argv + ["--jobs", jobs])
+            assert code == 0, (mode, jobs)
+            records += recs
+    assert any(rec["status"] == "skipped" for rec in records)
+    assert any(rec.get("count", 0) < 0 for rec in records)  # ramanujan
+    squares = [rec for rec in records if rec["mode"] == "square" and "residual" in rec]
+    assert any(rec["residual"] != 0.0 for rec in squares)  # odd n
+    for rec in squares:  # every digit of the float survives
+        spec = CongruenceSpec(rec["n"], tuple(rec["a"]), rec["b"])
+        assert rec["residual"] == formulas.square_count(spec).residual, rec
+    original = formulas.strict_order_count
+
+    def off_by_one_at_zero(n, k, a, b):
+        res = original(n, k, a, b)
+        return type(res)(res.count + (b == 0), res.method, res.residual)
+
+    monkeypatch.setattr(formulas, "strict_order_count", off_by_one_at_zero)
+    code, recs = lines(tiny_verify("strict"))
+    assert code == 1 and {rec["match"] for rec in recs if "match" in rec} == {True, False}

@@ -220,6 +220,31 @@ def test_distinct_gcd_condition_names_violation():
         formulas.distinct_count_gcd_condition(CongruenceSpec(21, (1,) * 21, 0))
 
 
+def test_subset_sum_obstruction_matches_combinations_search():
+    # the literal search: subsets by size, then in combinations order, each
+    # summed from scratch; the first whose sum shares a factor with n
+    def first_obstruction(n, coeffs):
+        for size in range(1, len(coeffs)):
+            for subset in itertools.combinations(range(len(coeffs)), size):
+                s = sum(coeffs[i] for i in subset)
+                if math.gcd(s, n) != 1:
+                    return subset, s
+        return None
+
+    rng = random.Random(9)
+    found = 0
+    for _ in range(3000):
+        n = rng.randrange(1, 40)
+        coeffs = tuple(rng.randrange(-n, 2 * n) for _ in range(rng.randrange(0, 7)))
+        expected = first_obstruction(n, coeffs)
+        assert formulas.subset_sum_obstruction(n, coeffs) == expected, (n, coeffs)
+        found += expected is not None
+    assert 0 < found < 3000  # both outcomes are exercised
+    for k in (8, 10):  # the hypothesis holds: every subset is checked
+        assert formulas.subset_sum_obstruction(10**9 + 7, (1,) * k) is None
+        assert formulas.subset_sum_obstruction(30, (7, 1) + (7,) * (k - 2)) == ((0, 1), 8)
+
+
 def test_distinct_gcd_condition_schoenemann_specialization():
     # p prime, coefficients summing to 0 mod p, proper subsets coprime:
     # the count is (-1)^(k-1) (k-1)! (p-1) + (p-1)...(p-k+1), independent of
