@@ -7,6 +7,11 @@ values for strict order and distinct solutions) and a generating-function
 oracle in a cyclic polynomial ring.  Every histogram is budgeted up front:
 the number of tuples the restriction admits (state_count) is charged before
 anything is built, so a budget failure can never yield a wrong count.
+
+The counting engines pack a length-n histogram into one int, entry r in
+bytes [r*W, (r+1)*W) (Kronecker substitution).  W holds a bound on every
+entry the engine ever holds, so no slot carries into the next, and each step
+is a few big-int operations over n*W bytes, not a Python loop over n entries.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from operator import add
 
 from . import characters
 from .errors import ConsistencyError, DomainError
@@ -103,22 +107,21 @@ def oracle_solutions(
     budget: OracleBudget | None = None,
     limit: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """The solutions themselves in lexicographic order, for witness listings.
-    Supports the unordered restrictions (every slot draws from one domain);
-    counting under the ordered restrictions goes through the histograms."""
+    """The solutions themselves in lexicographic order, for witness listings:
+    all of them, or the first ``limit`` (at least 0).  Supports the
+    unordered restrictions (every slot draws from one domain); counting
+    under the ordered restrictions goes through the histograms."""
     restriction = _normalize(restriction)
     if restriction not in ("all", "square"):
         raise DomainError(f"solution listing not supported for {restriction!r}")
+    if limit is not None and limit < 0:
+        raise DomainError(f"limit must be >= 0, got {limit}")
     if budget is None:
         budget = OracleBudget()
     budget.charge(state_count(spec, restriction))
-    out: list[tuple[int, ...]] = []
-    for tup in itertools.product(_domain(spec.n, restriction), repeat=spec.k):
-        if sum(a * x for a, x in zip(spec.coeffs, tup)) % spec.n == spec.b:
-            out.append(tup)
-            if limit is not None and len(out) >= limit:
-                break
-    return out
+    tuples = itertools.product(_domain(spec.n, restriction), repeat=spec.k)
+    hits = (t for t in tuples if sum(a * x for a, x in zip(spec.coeffs, t)) % spec.n == spec.b)
+    return list(itertools.islice(hits, limit))
 
 
 def _domain(n: int, restriction: str):
@@ -137,19 +140,35 @@ def _count_vector(n: int, a: int, domain) -> list[int]:
     return vec
 
 
+def _slot_bytes(bound: int) -> int:
+    """Bytes per packed slot that hold every entry in [0, bound], bound >= 1."""
+    return (bound.bit_length() + 7) // 8
+
+
+def _unpack(h: int, n: int, width: int) -> list[int]:
+    """The n entries of a packed histogram with ``width``-byte slots."""
+    data = h.to_bytes(n * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+
+
 def _convolve(n: int, vectors: list[list[int]]) -> list[int]:
     """Cyclic convolution of count vectors of length n: entry r counts the
     ways to pick one index per vector, weighted by its entries, with the
-    indices summing to r mod n."""
-    acc = vectors[0]
-    for vec in vectors[1:]:
-        nxt = [0] * n
-        for t, d in enumerate(vec):
-            if d:
-                # nxt[(r + t) % n] += d * acc[r]: add acc rotated by t
-                nxt = [x + d * y for x, y in zip(nxt, acc[n - t:] + acc[:n - t])]
-        acc = nxt
-    return acc
+    indices summing to r mod n.
+
+    One product of packed ints per vector convolves it in, and adding the
+    slots above n - 1 back onto the low ones folds the product mod n.  The
+    entries are nonnegative, so no coefficient, folded or not, exceeds the
+    product of the vectors' sums, which sets the slot width."""
+    width = _slot_bytes(math.prod(map(sum, vectors)))
+    bits = 8 * width * n
+    low = (1 << bits) - 1
+    acc, *rest = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in vec), "little")
+                  for vec in vectors)
+    for vec in rest:
+        prod = acc * vec
+        acc = (prod & low) + (prod >> bits)
+    return _unpack(acc, n, width)
 
 
 def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
@@ -158,31 +177,41 @@ def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
     transfer DP over the values w = n-1, ..., 0.
 
     A state is the nonempty bit mask of the positions that already hold a
-    value above w, with the histogram of a1*x1+...+ak*xk over those
+    value above w, with the packed histogram of a1*x1+...+ak*xk over those
     positions.  At each w one free position of each state takes w; the
     states are read from a snapshot, so no tuple takes w twice.  Each
-    one-position state 1 << i starts from the point mass: at each w it gains
-    a single 1 at a_i*w mod n.  When ordered, the free position is the first
-    one, so only position 0 is seeded and only the k prefix masks occur:
-    O(k*n^2) time and O(k*n) memory.  Otherwise any free position may take
-    w: O(k*2^k*n^2) time and O(2^k*n) memory."""
+    one-position state 1 << i starts from the point mass: at each w it
+    gains a single 1 at a_i*w mod n.  When ordered, the free position is
+    the first one, so only position 0 is seeded and only the k prefix masks
+    occur.  The moves of each such mask are listed once per call.
+
+    A transfer by t rotates the histogram by t slots and adds it: one shift
+    and one add over n slots, O(k*n) of them when ordered and O(k*2^k*n)
+    otherwise.  A state with j positions counts j-subsets (ordered) or
+    j-arrangements of the values above w, so its entries are at most
+    C(n, j) or P(n, j), and the slot width holds the largest over j <= k.
+    C(n, j) peaks at j = n // 2, before k once k > n/2, so the final total
+    alone is too small a bound."""
     k = len(coeffs)
     if k > n:
         return [0] * n
-    states: dict[int, list[int]] = {}
+    width = _slot_bytes(math.comb(n, min(k, n // 2)) if ordered else math.perm(n, k))
+    bits = 8 * width * n
+    low = (1 << bits) - 1
+    reached = [(1 << j) - 1 for j in range(1, k + 1)] if ordered else range(1, 1 << k)
+    moves = {m: [(i, m | 1 << i) for i in range(k) if not m >> i & 1][:1 if ordered else k]
+             for m in reached}
+    states: dict[int, int] = {}
     for w in range(n - 1, -1, -1):
+        shifts = [a * w % n * 8 * width for a in coeffs]
         for mask, hist in list(states.items()):
-            free = [i for i in range(k) if not mask >> i & 1]
-            for i in free[:1] if ordered else free:
-                t = coeffs[i] * w % n
-                # entry r moves to (r + t) mod n
-                moved = hist[n - t:] + hist[:n - t]
-                grown = mask | 1 << i
-                states[grown] = list(map(add, states[grown], moved)) if grown in states else moved
+            for i, grown in moves[mask]:
+                t = shifts[i]
+                states[grown] = states.get(grown, 0) + (((hist << t) & low) | (hist >> (bits - t)))
         # seeded after the transfers, so no other position joins it at w
         for i in range(1 if ordered else k):
-            states.setdefault(1 << i, [0] * n)[coeffs[i] * w % n] += 1
-    return states[(1 << k) - 1]
+            states[1 << i] = states.get(1 << i, 0) + (1 << shifts[i])
+    return _unpack(states[(1 << k) - 1], n, width)
 
 
 # ----------------------------------------------------------------------

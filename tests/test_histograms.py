@@ -20,6 +20,19 @@ def test_histogram_totals():
             hist = oracles.oracle_histogram(spec, "blocks")
             assert len(hist) == n
             assert sum(hist) == oracles.state_count(spec, "blocks"), (n, blocks)
+    # slot widths of the packed histograms: strict order's partial totals
+    # C(12, j) peak at j = 6, far above the final C(12, 11) = 12; with every
+    # coefficient 0 the whole total sits in slot 0
+    spec = CongruenceSpec(12, (1,) * 11, 0)
+    assert oracles.oracle_histogram(spec, "strict-order") == [1] * 12
+    for spec, restriction in (
+        (CongruenceSpec(12, (0,) * 11, 0), "strict-order"),
+        (CongruenceSpec(7, (0,) * 7, 0), "distinct"),
+        (CongruenceSpec(2, (0,) * 12, 0), "all"),
+        (BlockSpec(3, ((4, 0), (2, 0)), 0), "blocks"),
+    ):
+        hist = oracles.oracle_histogram(spec, restriction)
+        assert hist == [oracles.state_count(spec, restriction)] + [0] * (spec.n - 1), restriction
     # test_oracles.test_state_counts pins the other restrictions' counts
     spec = CongruenceSpec(9, (1, 2, 4), 0)
     assert oracles.state_count(spec, "square") == len({x * x % 9 for x in range(9)}) ** 3

@@ -104,6 +104,17 @@ def test_oracle_square_examples():
     assert oracles.oracle_count(BlockSpec(6, ((2, 2), (2, 3)), 5), "blocks") == 63
 
 
+def test_oracle_solutions_limit():
+    spec = CongruenceSpec(27, (1, 1), 1)
+    every = oracles.oracle_solutions(spec, "square")
+    for limit in (0, 1, 3, 4, 5):
+        assert oracles.oracle_solutions(spec, "square", limit=limit) == every[:limit]
+    budget = OracleBudget()
+    with pytest.raises(DomainError):
+        oracles.oracle_solutions(spec, "square", budget, limit=-3)
+    assert budget.used == 0
+
+
 def test_representative_independence():
     # Counts agree whether residues are represented as [0, n) or [1, n] where
     # that is a theorem: distinct solutions for any coefficients, and strict
@@ -192,8 +203,10 @@ def test_gf_count_examples():
 
 
 def test_gf_matches_strict_oracle():
-    for n in range(1, 21):
-        for a in range(n):
+    # n = 97 and 200 give the packed DP slots of one to four bytes
+    grid = [(n, range(n)) for n in range(1, 21)] + [(97, (1, 5, 10)), (200, (1, 5, 10))]
+    for n, a_values in grid:
+        for a in a_values:
             parts = [a * j % n for j in range(1, n + 1)]
             for k in (1, 2, 3, 4):
                 table = oracles.gf_table(n, parts, k, distinct=True)
