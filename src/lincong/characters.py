@@ -1,5 +1,5 @@
-"""The real Gauss sum modulo p^ell and the squares modulo n (indicators,
-profiles and square roots).
+"""The real Gauss sum modulo p^ell and the squares modulo n (membership
+and profiles).
 
 The square counter needs one character: the real character modulo p^ell
 induced by the Legendre symbol of an odd prime p.  Its Gauss sum has the
@@ -34,73 +34,23 @@ def gauss_sum_real_prime_power(p: int, ell: int, m: int) -> complex:
     return arith.epsilon(p) * sym * p ** (ell - 1) * math.sqrt(p)
 
 
-def _hensel_lift_sqrt(w: int, u: int, p: int, ell: int) -> int:
-    """Lift w with w^2 = u (mod p) to a root mod p^ell (p odd, u a unit)."""
-    mod = p
-    for _ in range(ell - 1):
-        nxt = mod * p
-        rem = (w * w - u) % nxt
-        # w' = w + t*mod with t = -(rem/mod) / (2w) mod p keeps w'^2 = u.
-        t = (-(rem // mod) * pow(2 * w, -1, p)) % p
-        w += t * mod
-        mod = nxt
-    return w % mod
-
-
-def sqrt_mod_prime_power(a: int, p: int, ell: int) -> frozenset[int]:
-    """All y in [0, p^ell) with y^2 = a (mod p^ell), p an odd prime.
-
-    Unit a: solve mod p by scanning, then Hensel-lift.  Non-unit a = p^(2v)*u:
-    roots exist iff the valuation is even and u is a residue; the root set is
-    {p^v*w + t*p^(ell-v)} over the two lifts w and t in [0, p^v).  a = 0 has
-    the p^floor(ell/2) roots divisible by p^ceil(ell/2).
-    """
-    if p % 2 == 0 or not arith.is_prime(p):
-        raise DomainError(f"odd prime required, got {p}")
-    if ell < 1:
-        raise DomainError(f"exponent must be >= 1, got {ell}")
-    mod = p**ell
-    a %= mod
-    if a == 0:
-        half = p ** ((ell + 1) // 2)
-        return frozenset(range(0, mod, half))
-    v = 0
-    u = a
-    while u % p == 0:
-        u //= p
-        v += 1
-    if v % 2:
-        return frozenset()
-    if arith.jacobi_symbol(u % p, p) != 1:
-        return frozenset()
-    w0 = next(w for w in range(p) if (w * w - u) % p == 0)
-    red = ell - v
-    w0 = _hensel_lift_sqrt(w0, u, p, red)
-    pv = p ** (v // 2)
-    stride = p ** (ell - v // 2)
-    roots = set()
-    for w in (w0, p**red - w0):
-        for y in range(pv * w, mod, stride):
-            roots.add(y)
-    return frozenset(roots)
-
-
-@lru_cache(maxsize=None)
 def square_indicator(n: int, b: int) -> int:
     """1 if b is a square modulo n (not necessarily a unit), else 0.
 
-    Odd n: a residue is a square iff it is one modulo every prime power of n.
-    Even n: exhaustive scan (the prime-power machinery here is odd-only).
+    Odd n: b is a square iff it is one modulo every p^e exactly dividing n,
+    that is iff p^e | b, or b = p^v*u with v < e even and (u/p) = 1.
+    Even n: lookup in the enumerated squares (square_profile).
     """
     if n < 1:
         raise DomainError(f"square_indicator needs n >= 1, got {n}")
     b %= n
-    if n == 1:
-        return 1
     if n % 2 == 0:
         return 1 if b in square_profile(n).square_set else 0
     for p, e in arith.factorize(n).factors:
-        if not sqrt_mod_prime_power(b, p, e):
+        u, v = b % p**e, 0
+        while v < e and u % p == 0:
+            u, v = u // p, v + 1
+        if v < e and (v % 2 or arith.jacobi_symbol(u % p, p) != 1):
             return 0
     return 1
 

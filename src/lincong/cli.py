@@ -542,10 +542,9 @@ def _selftest_checks():
         assert close(characters.gauss_sum_real_prime_power(3, 2, 1), 0)
         assert close(characters.gauss_sum_real_prime_power(3, 2, 3), 1j * 3 * sqrt3)
 
-    def check_square_roots():
-        assert characters.sqrt_mod_prime_power(1, 3, 3) == frozenset({1, 26})
-        assert characters.sqrt_mod_prime_power(9, 3, 3) == frozenset({3, 6, 12, 15, 21, 24})
-        assert characters.sqrt_mod_prime_power(0, 3, 3) == frozenset({0, 9, 18})
+    def check_square_membership():
+        squares = [characters.square_indicator(27, b) for b in (1, 9, 0, 3, 2, 18)]
+        assert squares == [1, 1, 1, 0, 0, 0]
         assert characters.square_profile(9).square_set == frozenset({0, 1, 4, 7})
         assert characters.square_profile(3).s == 2
         assert characters.square_profile(27).s == 11
@@ -557,7 +556,7 @@ def _selftest_checks():
     return [
         ("epsilon-values", check_epsilon),
         ("gauss-closed-forms", check_gauss_closed),
-        ("square-roots-and-profiles", check_square_roots),
+        ("square-membership-and-profiles", check_square_membership),
         ("square-witnesses", check_square_witnesses),
         *((f"{name}-golden-counts", partial(_check_golden, entry))
           for name, entry in MODE_TABLE.items()),

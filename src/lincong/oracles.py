@@ -1,45 +1,42 @@
 """Independent ground-truth counters.
 
-Two unrelated methods live here so that a bug in one cannot mask a bug in the
-closed forms: exact histograms built by counting (cyclic convolution of
-per-slot count vectors for all, square and blocks, and a transfer DP over the
-values for strict order and distinct solutions) and a generating-function
-oracle in a cyclic polynomial ring.  Every histogram is budgeted up front:
-the number of tuples the restriction admits (state_count) is charged before
-anything is built, so a budget failure can never yield a wrong count.
+Every histogram here is built by counting, one family of exact engines over
+a packed layout: cyclic convolution of per-slot count vectors for all,
+square and blocks (a block's vector is itself a packed product), and a
+transfer DP over the values for strict order and distinct solutions.  The
+unrelated methods that check them, brute force and a generating-function
+ring, live in the test suite, so a bug here cannot mask a bug in the closed
+forms.  Every histogram is budgeted up front: the number of tuples the
+restriction admits (state_count) is charged before anything is built, so a
+budget failure can never yield a wrong count.
 
-The counting engines pack a length-n histogram into one int, entry r in
-bytes [r*W, (r+1)*W) (Kronecker substitution).  W holds a bound on every
-entry the engine ever holds, so no slot carries into the next, and each step
-is a few big-int operations over n*W bytes, not a Python loop over n entries.
+The engines pack a length-n histogram into one int, entry r in bytes
+[r*W, (r+1)*W) (Kronecker substitution).  W holds a bound on every entry
+the engine ever holds, so no slot carries into the next, and each step is a
+few big-int operations over n*W bytes, not a Python loop over n entries.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
 
 from . import characters
-from .errors import ConsistencyError, DomainError
+from .errors import DomainError
 from .model import BlockSpec, CongruenceSpec, OracleBudget
 
 RESTRICTIONS = ("all", "square", "strict-order", "distinct", "blocks")
 
-_ALIASES = {"strict": "strict-order", "strict-order": "strict-order"}
 
-
-def _normalize(restriction: str) -> str:
-    r = _ALIASES.get(restriction, restriction)
-    if r not in RESTRICTIONS:
+def _check_restriction(restriction: str) -> None:
+    if restriction not in RESTRICTIONS:
         raise DomainError(f"unknown restriction {restriction!r}")
-    return r
 
 
 def state_count(spec: CongruenceSpec | BlockSpec, restriction: str = "all") -> int:
     """Number of tuples the restriction admits for this instance: the
     histogram's total, and what oracle_histogram charges to the budget."""
-    restriction = _normalize(restriction)
+    _check_restriction(restriction)
     n = spec.n
     if restriction == "blocks":
         if not isinstance(spec, BlockSpec):
@@ -67,8 +64,9 @@ def oracle_histogram(
 
     all, square and blocks convolve one count vector per slot or block (a
     slot's vector counts its domain, [0, n) or the squares mod n, by
-    residue; a block's vector is the z^size row of gf_table), and strict
-    order and distinct solutions run one transfer DP over the values.
+    residue; a block's vector comes from the packed product of _block_row),
+    and strict order and distinct solutions run one transfer DP over the
+    values.
     state_count is charged to ``budget`` before any of them starts.
 
     Residues are represented in [0, n).  The strict-order count compares
@@ -76,16 +74,13 @@ def oracle_histogram(
     unless all coefficients are equal (a strictly ordered tuple is then a
     k-subset of Z_n, whose sum does not depend on representatives).  The
     other restrictions do not depend on the representatives."""
-    restriction = _normalize(restriction)
+    _check_restriction(restriction)
     if budget is None:
         budget = OracleBudget()
     budget.charge(state_count(spec, restriction))
     n = spec.n
     if restriction == "blocks":
-        return _convolve(n, [
-            gf_table(n, [a * x % n for x in range(n)], size, distinct=False).coeffs[size]
-            for size, a in spec.blocks
-        ])
+        return _convolve(n, [_block_row(n, size, a) for size, a in spec.blocks])
     if restriction in ("all", "square"):
         domain = _domain(n, restriction)
         return _convolve(n, [_count_vector(n, a, domain) for a in spec.coeffs])
@@ -111,7 +106,7 @@ def oracle_solutions(
     all of them, or the first ``limit`` (at least 0).  Supports the
     unordered restrictions (every slot draws from one domain); counting
     under the ordered restrictions goes through the histograms."""
-    restriction = _normalize(restriction)
+    _check_restriction(restriction)
     if restriction not in ("all", "square"):
         raise DomainError(f"solution listing not supported for {restriction!r}")
     if limit is not None and limit < 0:
@@ -214,73 +209,22 @@ def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
     return _unpack(states[(1 << k) - 1], n, width)
 
 
-# ----------------------------------------------------------------------
-# Generating-function oracle: coefficient extraction in Z[q]/(q^n - 1)[z].
+def _block_row(n: int, size: int, a: int) -> list[int]:
+    """v[r] = number of weakly decreasing x1 >= ... >= x_size in [0, n) with
+    a*(x1+...+x_size) = r (mod n): one block's count vector.
 
-
-@dataclass
-class CyclicPoly:
-    """Polynomial in z and q with q-exponents reduced mod n and z-degree
-    truncated at ``z_cap``; coeffs[i][r] is the coefficient of z^i q^r."""
-
-    n: int
-    z_cap: int
-    coeffs: list[list[int]] = field(default=None)  # type: ignore[assignment]
-
-    def __post_init__(self):
-        if self.n < 1 or self.z_cap < 0:
-            raise DomainError("CyclicPoly needs n >= 1 and z_cap >= 0")
-        if self.coeffs is None:
-            self.coeffs = [[0] * self.n for _ in range(self.z_cap + 1)]
-            self.coeffs[0][0] = 1
-
-    def mul_one_minus_zq(self, a: int) -> None:
-        """Multiply in place by (1 - z q^a)."""
-        a %= self.n
-        c = self.coeffs
-        for i in range(self.z_cap, 0, -1):
-            lower = c[i - 1]
-            row = c[i]
-            for r in range(self.n):
-                row[r] -= lower[(r - a) % self.n]
-
-    def mul_geometric(self, a: int) -> None:
-        """Multiply in place by 1/(1 - z q^a) = sum_j z^j q^(a*j), truncated."""
-        a %= self.n
-        c = self.coeffs
-        for i in range(1, self.z_cap + 1):
-            lower = c[i - 1]
-            row = c[i]
-            for r in range(self.n):
-                row[r] += lower[(r - a) % self.n]
-
-    def coefficient(self, z_deg: int, q_exp: int) -> int:
-        return self.coeffs[z_deg][q_exp % self.n]
-
-
-def gf_table(n: int, parts, k: int, distinct: bool) -> CyclicPoly:
-    """Product over the multiset ``parts`` of (1 - z q^a)^(+/-1) in the cyclic
-    ring, truncated at z-degree k."""
-    poly = CyclicPoly(n, k)
-    for a in parts:
-        if distinct:
-            poly.mul_one_minus_zq(a)
-        else:
-            poly.mul_geometric(a)
-    return poly
-
-
-def gf_count(n: int, parts, k: int, b: int, distinct: bool) -> int:
-    """Number of ways to pick k parts from ``parts`` (a multiset of residues)
-    summing to b mod n: without repetition when ``distinct`` (selections of k
-    distinct positions), with repetition otherwise.
-
-    Reads the coefficient of z^k q^b in prod (1 - z q^a)^(-1), or in
-    prod (1 - z q^a) times (-1)^k for the distinct case.
-    """
-    value = gf_table(n, parts, k, distinct).coefficient(k, b)
-    if distinct and k % 2:
-        value = -value
-    if value < 0:
-        raise ConsistencyError(f"negative coefficient {value} in the cyclic ring")
-    return value
+    The coefficient of z^size in the product over x in [0, n) of
+    1/(1 - z q^(a*x)), in packed form: rows[i] holds the z^i coefficient,
+    and each factor adds row i-1, rotated by a*x slots, onto row i for
+    ascending i, so a value may repeat.  After the first x + 1 factors row i
+    totals C(x + i, i) <= C(n + size - 1, size), which sets the slot width."""
+    width = _slot_bytes(math.comb(n + size - 1, size))
+    bits = 8 * width * n
+    low = (1 << bits) - 1
+    rows = [1] + [0] * size
+    for x in range(n):
+        t = a * x % n * 8 * width
+        for i in range(1, size + 1):
+            h = rows[i - 1]
+            rows[i] += ((h << t) & low) | (h >> (bits - t))
+    return _unpack(rows[size], n, width)

@@ -1,8 +1,8 @@
-"""The oracles themselves: histograms and generating functions.
+"""The oracles themselves: the package's exact histograms.
 
 These are the package's ground truth, so they get their own independent
-checks: tiny itertools-based reference counts, cross-agreement between the
-unrelated methods, and representation invariance.
+checks: tiny itertools-based reference counts, a generating-function ring
+kept here as a second, unrelated method, and representation invariance.
 """
 
 import functools
@@ -59,6 +59,28 @@ def reference_blocks_count(n, blocks, b, representatives=None):
         if ok and sum(a * x for a, x in zip(coeffs, tup)) % n == b % n:
             count += 1
     return count
+
+
+def gf_rows(n, parts, k, distinct):
+    """Rows 0..k of the product over the multiset ``parts`` of (1 + z q^a)
+    when ``distinct``, else of 1/(1 - z q^a), in Z[q]/(q^n - 1)[z] truncated
+    at z^k: rows[i][r] counts the ways to pick i of the parts, without or
+    with repetition, summing to r mod n."""
+    rows = [[1] + [0] * (n - 1)] + [[0] * n for _ in range(k)]
+    for a in parts:
+        # descending i takes each part at most once, ascending i lets it repeat
+        for i in range(k, 0, -1) if distinct else range(1, k + 1):
+            lower, row = rows[i - 1], rows[i]
+            for r in range(n):
+                row[r] += lower[(r - a) % n]
+    return rows
+
+
+def cyclic_convolution(n, vectors):
+    out = [1] + [0] * (n - 1)
+    for vec in vectors:
+        out = [sum(out[r] * vec[(c - r) % n] for r in range(n)) for c in range(n)]
+    return out
 
 
 RESTRICTIONS = ("all", "strict-order", "distinct")
@@ -193,13 +215,9 @@ def test_state_counts():
     assert oracles.state_count(bspec, "blocks") == math.comb(11, 2) * math.comb(12, 3)
     with pytest.raises(DomainError):
         oracles.state_count(spec, "blocks")
-    with pytest.raises(DomainError):
-        oracles.state_count(spec, "no-such-restriction")
-
-
-def test_gf_count_examples():
-    assert oracles.gf_count(5, range(5), 2, 0, distinct=True) == 2
-    assert oracles.gf_count(4, range(4), 1, 3, distinct=False) == 1
+    for restriction in ("no-such-restriction", "strict"):
+        with pytest.raises(DomainError):
+            oracles.state_count(spec, restriction)
 
 
 def test_gf_matches_strict_oracle():
@@ -207,26 +225,36 @@ def test_gf_matches_strict_oracle():
     grid = [(n, range(n)) for n in range(1, 21)] + [(97, (1, 5, 10)), (200, (1, 5, 10))]
     for n, a_values in grid:
         for a in a_values:
-            parts = [a * j % n for j in range(1, n + 1)]
+            rows = gf_rows(n, [a * j % n for j in range(1, n + 1)], 4, distinct=True)
             for k in (1, 2, 3, 4):
-                table = oracles.gf_table(n, parts, k, distinct=True)
-                hist = oracles.oracle_histogram(
-                    CongruenceSpec(n, (a,) * k, 0), "strict-order"
-                )
-                sign = -1 if k % 2 else 1
-                for b in range(n):
-                    assert sign * table.coefficient(k, b) == hist[b], (n, a, k, b)
+                hist = oracles.oracle_histogram(CongruenceSpec(n, (a,) * k, 0), "strict-order")
+                assert rows[k] == hist, (n, a, k)
 
 
 def test_gf_weak_blocks_cross_check():
     # convolve the two weak-order block factors of 2(x1+x2)+3(x3+x4) mod 6
     n = 6
-    u1 = [oracles.gf_count(n, [2 * j % n for j in range(1, n + 1)], 2, c, False) for c in range(n)]
-    u2 = [oracles.gf_count(n, [3 * j % n for j in range(1, n + 1)], 2, c, False) for c in range(n)]
-    conv = [sum(u1[r] * u2[(c - r) % n] for r in range(n)) for c in range(n)]
-    hist = oracles.oracle_histogram(BlockSpec(n, ((2, 2), (2, 3)), 0), "blocks")
-    assert conv == hist
+    u1 = gf_rows(n, [2 * j % n for j in range(1, n + 1)], 2, False)[2]
+    u2 = gf_rows(n, [3 * j % n for j in range(1, n + 1)], 2, False)[2]
+    conv = cyclic_convolution(n, [u1, u2])
+    assert conv == oracles.oracle_histogram(BlockSpec(n, ((2, 2), (2, 3)), 0), "blocks")
     assert conv[5] == 63
+    # every single-block row with n <= 24 and size <= 4
+    for n in range(1, 25):
+        for a in range(n):
+            rows = gf_rows(n, [a * x % n for x in range(n)], 4, False)
+            for size in (1, 2, 3, 4):
+                hist = oracles.oracle_histogram(BlockSpec(n, ((size, a),), 0), "blocks")
+                assert hist == rows[size], (n, size, a)
+    # entries past 2^53 (n = 18) and 2^64 (n = 30); no solution at odd targets (n = 168)
+    hists = {}
+    for n, blocks in [(18, ((8, 2), (8, 3), (8, 1))), (30, ((10, 2), (10, 3), (10, 5))),
+                      (168, ((2, 2), (2, 4), (1, 6), (1, 8)))]:
+        hists[n] = oracles.oracle_histogram(BlockSpec(n, blocks, 0), "blocks", OracleBudget(10**30))
+        rows = [gf_rows(n, [a * x % n for x in range(n)], size, False)[size] for size, a in blocks]
+        assert hists[n] == cyclic_convolution(n, rows), n
+    assert max(hists[18]).bit_length() == 56 and max(hists[30]).bit_length() == 83
+    assert not any(hists[168][1::2]) and all(hists[168][::2])
 
 
 def test_oracle_square_against_reference():
@@ -239,22 +267,3 @@ def test_oracle_square_against_reference():
                 assert hist == reference_histogram(n, coeffs, "all", squares), (n, coeffs)
     assert oracles.oracle_count(CongruenceSpec(9, (1, 1), 3), "square") == 0
     assert oracles.oracle_count(CongruenceSpec(9, (1, 1), 2), "square") == 3
-
-
-def test_cyclic_poly_validation():
-    with pytest.raises(DomainError):
-        oracles.CyclicPoly(0, 3)
-    poly = oracles.CyclicPoly(4, 2)
-    poly.mul_one_minus_zq(1)
-    poly.mul_one_minus_zq(3)
-    # (1 - z q)(1 - z q^3) = 1 - z(q + q^3) + z^2 q^4; q^4 wraps to q^0
-    assert poly.coefficient(0, 0) == 1
-    assert poly.coefficient(1, 1) == -1 and poly.coefficient(1, 3) == -1
-    assert poly.coefficient(2, 0) == 1
-
-
-def test_gf_zero_when_supply_exhausted():
-    # picking 2 distinct positions from a single-element part list is impossible
-    assert oracles.gf_count(5, [3], 2, 1, distinct=True) == 0
-    # but repetition allows it on the weak path
-    assert oracles.gf_count(5, [3], 2, 1, distinct=False) == 1
