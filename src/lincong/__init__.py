@@ -11,7 +11,6 @@ generating-function ring, in the test suite.
 
 from .arith import (
     Factorization,
-    binomial_guarded,
     divisors,
     epsilon,
     euler_phi,
@@ -59,7 +58,6 @@ __all__ = [
     "Factorization",
     "OracleBudget",
     "SquareProfile",
-    "binomial_guarded",
     "distinct_count_equal_coeffs",
     "distinct_count_gcd_condition",
     "divisors",

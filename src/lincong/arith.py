@@ -1,5 +1,5 @@
 """Exact elementary number theory: factorization, multiplicative functions,
-Jacobi symbols, guarded binomials, Ramanujan sums and roots of unity.
+Jacobi symbols, Ramanujan sums and roots of unity.
 
 Everything here is a pure function of its arguments.  Values are exact
 integers, except the roots of unity e(x) = exp(2*pi*i*x), which are complex
@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
@@ -144,31 +143,6 @@ def epsilon(n: int) -> complex:
     if n % 2 == 0:
         raise DomainError(f"epsilon is defined for odd n only, got {n}")
     return (1 + 0j) if n % 4 == 1 else 1j
-
-
-def binomial_guarded(upper: int, lower: int | Fraction) -> int:
-    """Binomial coefficient with integer upper index (negative allowed) and a
-    possibly fractional lower index.
-
-    Non-integral or negative lower indices give 0, lower = 0 gives 1; a
-    negative upper index follows C(-d, j) = (-1)^j C(d+j-1, j).  The zero
-    convention lets divisor-sum evaluators run over all divisors and have the
-    degenerate terms vanish on their own.
-    """
-    if isinstance(lower, Fraction):
-        if lower.denominator != 1:
-            return 0
-        lower = int(lower)
-    if lower < 0:
-        return 0
-    if lower == 0:
-        return 1
-    if upper < 0:
-        sign = -1 if lower % 2 else 1
-        return sign * math.comb(-upper + lower - 1, lower)
-    if upper < lower:
-        return 0
-    return math.comb(upper, lower)
 
 
 def root_of_unity(num: int, den: int) -> complex:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 from . import arith
 from .errors import DomainError
@@ -37,20 +36,23 @@ def gauss_sum_real_prime_power(p: int, ell: int, m: int) -> complex:
 def square_indicator(n: int, b: int) -> int:
     """1 if b is a square modulo n (not necessarily a unit), else 0.
 
-    Odd n: b is a square iff it is one modulo every p^e exactly dividing n,
-    that is iff p^e | b, or b = p^v*u with v < e even and (u/p) = 1.
-    Even n: lookup in the enumerated squares (square_profile).
+    b is a square iff it is one modulo every p^e exactly dividing n, that is
+    iff p^e | b, or b = p^v*u with v < e even and u a unit square modulo
+    p^(e-v): (u/p) = 1 for odd p, u = 1 (mod 2^min(3, e-v)) for p = 2.
     """
     if n < 1:
         raise DomainError(f"square_indicator needs n >= 1, got {n}")
-    b %= n
-    if n % 2 == 0:
-        return 1 if b in square_profile(n).square_set else 0
     for p, e in arith.factorize(n).factors:
         u, v = b % p**e, 0
         while v < e and u % p == 0:
             u, v = u // p, v + 1
-        if v < e and (v % 2 or arith.jacobi_symbol(u % p, p) != 1):
+        if v == e:
+            continue
+        if v % 2:
+            return 0
+        if p == 2 and u % 2 ** min(3, e - v) != 1:
+            return 0
+        if p > 2 and arith.jacobi_symbol(u % p, p) != 1:
             return 0
     return 1
 
@@ -66,7 +68,6 @@ class SquareProfile:
     q: int
 
 
-@lru_cache(maxsize=None)
 def square_profile(n: int) -> SquareProfile:
     """Enumerate x^2 mod n over a full residue system and tally s and q."""
     if n < 1:

@@ -58,9 +58,6 @@ def _parse_ints(text: str) -> tuple[int, ...]:
         raise UsageError(f"expected comma-separated integers, got {text!r}") from exc
 
 
-DEFAULT_BUDGET = 10**8
-
-
 def _at_least_one(args, *flags: str) -> None:
     """Usage error when one of the given flags is below 1; an absent flag
     (None, or not a flag of this command) passes."""
@@ -71,8 +68,8 @@ def _at_least_one(args, *flags: str) -> None:
 
 
 def _budget(args) -> int:
-    """--budget, or DEFAULT_BUDGET when it is not given."""
-    return DEFAULT_BUDGET if args.budget is None else args.budget
+    """--budget, or OracleBudget's default when it is not given."""
+    return OracleBudget.max_states if args.budget is None else args.budget
 
 
 def _moduli(args, default) -> tuple[int, ...] | range:
@@ -313,7 +310,7 @@ def build_parser() -> _Parser:
         p.add_argument("--mode", choices=MODES, default="all")
         p.add_argument("--budget", type=int,
                        help="most tuples an oracle histogram may count per case, charged "
-                            f"before it is built (default {DEFAULT_BUDGET}); also bounds "
+                            f"before it is built (default {OracleBudget.max_states}); also bounds "
                             "count's oracle fallback")
     count.add_argument("-n", type=int, help="modulus")
     count.add_argument("-k", type=int, help="number of variables")
@@ -521,7 +518,7 @@ def cmd_bench(args) -> int:
 def _check_golden(mode: _Mode) -> None:
     """The counter and the oracle of ``mode`` give its golden values."""
     for n, params, b, expected in mode.golden:
-        values = [mode.count(n, params, b, DEFAULT_BUDGET).count,
+        values = [mode.count(n, params, b, OracleBudget.max_states).count,
                   mode.oracle(n, params, OracleBudget())[b]]
         assert values == [expected] * 2, (n, params, b, values)
 

@@ -249,7 +249,7 @@ def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
     total = 0
     for d in arith.divisors(math.gcd(n // f, k)):
         sign = -1 if (k // d) % 2 else 1
-        total += sign * arith.binomial_guarded(n // d, k // d) * arith.ramanujan_sum(d, bf)
+        total += sign * math.comb(n // d, k // d) * arith.ramanujan_sum(d, bf)
     if k % 2:
         total = -total
     value, rem = divmod(f * total, n)
@@ -337,7 +337,7 @@ def _blocks_common_gcd(n: int, sizes: tuple[int, ...], f: int, b: int) -> CountR
     for d in arith.divisors(math.gcd(n // f, *sizes)):
         term = Fraction(arith.ramanujan_sum(d, bf))
         for ki in sizes:
-            term *= arith.binomial_guarded((n + ki) // d, ki // d)
+            term *= math.comb((n + ki) // d, ki // d)
         total += term
     value = Fraction(f, n) * prefactor * total
     if value.denominator != 1:
@@ -367,7 +367,7 @@ def _block_orbit_plan(
             if (ki * d) % n:
                 continue
             j = ki * d // n
-            per_block[d] = Fraction(d, d + j) * arith.binomial_guarded(d + j, j)
+            per_block[d] = Fraction(d, d + j) * math.comb(d + j, j)
         weights.append(per_block)
     orbits: dict[tuple[int, ...], list[int]] = {}
     for m in range(1, n + 1):
@@ -397,7 +397,7 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     weight prod_i d_i/(d_i+j_i) * C(d_i+j_i, j_i) multiplies the exponential
     sum over m in [1, n] with gcd(a_i*m, n) = d_i for every i, and the total
     is divided by n and rounded with a recorded residual.  Divisor tuples with
-    a fractional j_i vanish through the guarded binomial and are skipped.
+    a fractional j_i have weight 0 and are skipped.
 
     Only the roots e(-b*m/n) depend on the target.  The weights and the m of
     each divisor tuple are built once per (n, sizes, coefficients) and the

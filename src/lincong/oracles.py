@@ -1,19 +1,23 @@
 """Independent ground-truth counters.
 
-Every histogram here is built by counting, one family of exact engines over
-a packed layout: cyclic convolution of per-slot count vectors for all,
-square and blocks (a block's vector is itself a packed product), and a
-transfer DP over the values for strict order and distinct solutions.  The
-unrelated methods that check them, brute force and a generating-function
-ring, live in the test suite, so a bug here cannot mask a bug in the closed
-forms.  Every histogram is budgeted up front: the number of tuples the
-restriction admits (state_count) is charged before anything is built, so a
-budget failure can never yield a wrong count.
+Every histogram here is built by counting, with two exact engines and a
+convolution over one packed layout: cyclic convolution of per-slot or
+per-block count vectors for all, square and blocks; a weak-chain pass over
+the values for a weakly ordered block and for strict order, which is a weak
+chain over n - k + 1 values after the shift x_j -> x_j - (k - j); and a
+transfer DP over the values for distinct solutions.  The unrelated methods
+that check them, brute force and a generating-function ring, live in the
+test suite, so a bug here cannot mask a bug in the closed forms.  Every
+histogram is budgeted up front: the number of tuples the restriction admits
+(state_count) is charged before anything is built, so a budget failure can
+never yield a wrong count.
 
 The engines pack a length-n histogram into one int, entry r in bytes
-[r*W, (r+1)*W) (Kronecker substitution).  W holds a bound on every entry
-the engine ever holds, so no slot carries into the next, and each step is a
-few big-int operations over n*W bytes, not a Python loop over n entries.
+[r*W, (r+1)*W) (Kronecker substitution), and each step is a few big-int
+operations over n*W bytes, not a Python loop over n entries.  Every entry
+an engine ever holds counts part of the tuples the histogram counts, so the
+charged total bounds them all: W is its byte length, set once per histogram,
+and no slot carries into the next.
 """
 
 from __future__ import annotations
@@ -64,10 +68,11 @@ def oracle_histogram(
 
     all, square and blocks convolve one count vector per slot or block (a
     slot's vector counts its domain, [0, n) or the squares mod n, by
-    residue; a block's vector comes from the packed product of _block_row),
-    and strict order and distinct solutions run one transfer DP over the
-    values.
-    state_count is charged to ``budget`` before any of them starts.
+    residue; a block's vector is the weak chain of its size over [0, n)).
+    Strict order is one weak chain and distinct solutions one transfer DP
+    over the values.  state_count is charged to ``budget`` before any of
+    them starts, and that total sets the one slot width they all use; a
+    total of 0 (more variables than residues) is the zero histogram.
 
     Residues are represented in [0, n).  The strict-order count compares
     those representatives, so it depends on the choice of [0, n)
@@ -77,14 +82,27 @@ def oracle_histogram(
     _check_restriction(restriction)
     if budget is None:
         budget = OracleBudget()
-    budget.charge(state_count(spec, restriction))
+    total = state_count(spec, restriction)
+    budget.charge(total)
     n = spec.n
+    if total == 0:
+        return [0] * n
+    width = (total.bit_length() + 7) // 8
     if restriction == "blocks":
-        return _convolve(n, [_block_row(n, size, a) for size, a in spec.blocks])
-    if restriction in ("all", "square"):
+        hist = _convolve(n, width, [_chain(n, width, (a,) * size, n) for size, a in spec.blocks])
+    elif restriction in ("all", "square"):
         domain = _domain(n, restriction)
-        return _convolve(n, [_count_vector(n, a, domain) for a in spec.coeffs])
-    return _value_dp(n, spec.coeffs, ordered=restriction == "strict-order")
+        hist = _convolve(n, width, [_count_vector(n, width, a, domain) for a in spec.coeffs])
+    elif restriction == "strict-order":
+        # x_j = y_j + (k - j) maps weakly decreasing y over [0, n - k + 1)
+        # onto strictly decreasing x over [0, n)
+        k = spec.k
+        offset = sum(a * (k - j) for j, a in enumerate(spec.coeffs, 1))
+        hist = _chain(n, width, spec.coeffs, n - k + 1, offset)
+    else:
+        hist = _value_dp(n, width, spec.coeffs)
+    data = hist.to_bytes(n * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
 
 
 def oracle_count(
@@ -127,75 +145,50 @@ def _domain(n: int, restriction: str):
     return range(n)
 
 
-def _count_vector(n: int, a: int, domain) -> list[int]:
-    """v[r] = number of x in ``domain`` with a*x = r (mod n)."""
+def _count_vector(n: int, width: int, a: int, domain) -> int:
+    """Packed v[r] = number of x in ``domain`` with a*x = r (mod n)."""
     vec = [0] * n
     for x in domain:
         vec[a * x % n] += 1
-    return vec
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in vec), "little")
 
 
-def _slot_bytes(bound: int) -> int:
-    """Bytes per packed slot that hold every entry in [0, bound], bound >= 1."""
-    return (bound.bit_length() + 7) // 8
-
-
-def _unpack(h: int, n: int, width: int) -> list[int]:
-    """The n entries of a packed histogram with ``width``-byte slots."""
-    data = h.to_bytes(n * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
-
-
-def _convolve(n: int, vectors: list[list[int]]) -> list[int]:
-    """Cyclic convolution of count vectors of length n: entry r counts the
-    ways to pick one index per vector, weighted by its entries, with the
-    indices summing to r mod n.
+def _convolve(n: int, width: int, vectors: list[int]) -> int:
+    """Cyclic convolution of packed count vectors of length n: entry r
+    counts the ways to pick one index per vector, weighted by its entries,
+    with the indices summing to r mod n.
 
     One product of packed ints per vector convolves it in, and adding the
-    slots above n - 1 back onto the low ones folds the product mod n.  The
-    entries are nonnegative, so no coefficient, folded or not, exceeds the
-    product of the vectors' sums, which sets the slot width."""
-    width = _slot_bytes(math.prod(map(sum, vectors)))
+    slots above n - 1 back onto the low ones folds the product mod n."""
     bits = 8 * width * n
     low = (1 << bits) - 1
-    acc, *rest = (int.from_bytes(b"".join(c.to_bytes(width, "little") for c in vec), "little")
-                  for vec in vectors)
+    acc, *rest = vectors
     for vec in rest:
         prod = acc * vec
         acc = (prod & low) + (prod >> bits)
-    return _unpack(acc, n, width)
+    return acc
 
 
-def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
-    """Histogram over tuples of pairwise distinct residues in [0, n), or of
-    strictly decreasing ones (x1 > x2 > ... > xk) when ``ordered``, by a
-    transfer DP over the values w = n-1, ..., 0.
+def _value_dp(n: int, width: int, coeffs) -> int:
+    """Packed histogram over tuples of pairwise distinct residues in [0, n),
+    k <= n of them, by a transfer DP over the values w = n-1, ..., 0.
 
     A state is the nonempty bit mask of the positions that already hold a
     value above w, with the packed histogram of a1*x1+...+ak*xk over those
     positions.  At each w one free position of each state takes w; the
     states are read from a snapshot, so no tuple takes w twice.  Each
     one-position state 1 << i starts from the point mass: at each w it
-    gains a single 1 at a_i*w mod n.  When ordered, the free position is
-    the first one, so only position 0 is seeded and only the k prefix masks
-    occur.  The moves of each such mask are listed once per call.
+    gains a single 1 at a_i*w mod n.  The moves of each mask are listed
+    once per call.
 
     A transfer by t rotates the histogram by t slots and adds it: one shift
-    and one add over n slots, O(k*n) of them when ordered and O(k*2^k*n)
-    otherwise.  A state with j positions counts j-subsets (ordered) or
-    j-arrangements of the values above w, so its entries are at most
-    C(n, j) or P(n, j), and the slot width holds the largest over j <= k.
-    C(n, j) peaks at j = n // 2, before k once k > n/2, so the final total
-    alone is too small a bound."""
+    and one add over n slots, O(k*2^k*n) of them.  A state with j positions
+    counts j-arrangements of the values above w, at most P(n, j) <= P(n, k)
+    of them."""
     k = len(coeffs)
-    if k > n:
-        return [0] * n
-    width = _slot_bytes(math.comb(n, min(k, n // 2)) if ordered else math.perm(n, k))
     bits = 8 * width * n
     low = (1 << bits) - 1
-    reached = [(1 << j) - 1 for j in range(1, k + 1)] if ordered else range(1, 1 << k)
-    moves = {m: [(i, m | 1 << i) for i in range(k) if not m >> i & 1][:1 if ordered else k]
-             for m in reached}
+    moves = {m: [(i, m | 1 << i) for i in range(k) if not m >> i & 1] for m in range(1, 1 << k)}
     states: dict[int, int] = {}
     for w in range(n - 1, -1, -1):
         shifts = [a * w % n * 8 * width for a in coeffs]
@@ -204,27 +197,30 @@ def _value_dp(n: int, coeffs, ordered: bool) -> list[int]:
                 t = shifts[i]
                 states[grown] = states.get(grown, 0) + (((hist << t) & low) | (hist >> (bits - t)))
         # seeded after the transfers, so no other position joins it at w
-        for i in range(1 if ordered else k):
-            states[1 << i] = states.get(1 << i, 0) + (1 << shifts[i])
-    return _unpack(states[(1 << k) - 1], n, width)
+        for i, t in enumerate(shifts):
+            states[1 << i] = states.get(1 << i, 0) + (1 << t)
+    return states[(1 << k) - 1]
 
 
-def _block_row(n: int, size: int, a: int) -> list[int]:
-    """v[r] = number of weakly decreasing x1 >= ... >= x_size in [0, n) with
-    a*(x1+...+x_size) = r (mod n): one block's count vector.
+def _chain(n: int, width: int, coeffs, values: int, offset: int = 0) -> int:
+    """Packed histogram of a1*x1 + ... + ak*xk + offset (mod n) over the
+    weakly decreasing x1 >= ... >= xk in [0, values), values >= 1.
 
-    The coefficient of z^size in the product over x in [0, n) of
-    1/(1 - z q^(a*x)), in packed form: rows[i] holds the z^i coefficient,
-    and each factor adds row i-1, rotated by a*x slots, onto row i for
-    ascending i, so a value may repeat.  After the first x + 1 factors row i
-    totals C(x + i, i) <= C(n + size - 1, size), which sets the slot width."""
-    width = _slot_bytes(math.comb(n + size - 1, size))
+    The coefficient of z^k in the product over x in [0, values) of
+    1/(1 - z q^x), with the i-th smallest value weighted by a_(k-i+1):
+    rows[i] holds the z^i coefficient, and each x adds row i-1, rotated by
+    a_(k-i+1)*x slots, onto row i for ascending i, so a value may repeat.
+    k*values transfers, one shift, one mask, one or and one add each.  Row i
+    counts weakly ordered i-tuples, at most C(values + i - 1, i), which
+    grows with i up to the final C(values + k - 1, k)."""
+    k = len(coeffs)
     bits = 8 * width * n
     low = (1 << bits) - 1
-    rows = [1] + [0] * size
-    for x in range(n):
-        t = a * x % n * 8 * width
-        for i in range(1, size + 1):
+    rising = coeffs[::-1]
+    rows = [1 << offset % n * 8 * width] + [0] * k
+    for x in range(values):
+        for i, a in enumerate(rising, 1):
+            t = a * x % n * 8 * width
             h = rows[i - 1]
             rows[i] += ((h << t) & low) | (h >> (bits - t))
-    return _unpack(rows[size], n, width)
+    return rows[k]

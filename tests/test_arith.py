@@ -2,7 +2,6 @@
 
 import cmath
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -86,23 +85,6 @@ def test_epsilon():
     assert arith.epsilon(1) == 1
     with pytest.raises(DomainError):
         arith.epsilon(4)
-
-
-def test_binomial_guarded_examples():
-    assert arith.binomial_guarded(5, 2) == 10
-    assert arith.binomial_guarded(5, Fraction(3, 2)) == 0
-    assert arith.binomial_guarded(-3, 2) == 6
-    assert arith.binomial_guarded(7, 0) == 1
-    assert arith.binomial_guarded(7, Fraction(0, 3)) == 1
-    assert arith.binomial_guarded(3, -1) == 0
-    assert arith.binomial_guarded(3, 5) == 0
-
-
-def test_binomial_negative_upper_identity():
-    for d in range(1, 11):
-        for j in range(0, 11):
-            lhs = arith.binomial_guarded(-d, j) * (-1) ** j
-            assert lhs == arith.binomial_guarded(d + j - 1, j)
 
 
 @given(st.integers(-50, 50), st.integers(1, 60))

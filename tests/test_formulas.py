@@ -348,7 +348,7 @@ def _blocks_per_call_reference(spec):
             if (ki * d) % n:
                 continue
             j = ki * d // n
-            per_block[d] = Fraction(d, d + j) * arith.binomial_guarded(d + j, j)
+            per_block[d] = Fraction(d, d + j) * math.comb(d + j, j)
         weights.append(per_block)
     acc = 0j
     for combo in itertools.product(*(sorted(w) for w in weights)):

@@ -20,9 +20,10 @@ def test_histogram_totals():
             hist = oracles.oracle_histogram(spec, "blocks")
             assert len(hist) == n
             assert sum(hist) == oracles.state_count(spec, "blocks"), (n, blocks)
-    # slot widths of the packed histograms: strict order's partial totals
-    # C(12, j) peak at j = 6, far above the final C(12, 11) = 12; with every
-    # coefficient 0 the whole total sits in slot 0
+    # one slot width per histogram, the byte length of the total: strict
+    # order at n = 12, k = 11 is a weak chain over 2 values, whose rows hold
+    # at most the final C(12, 11) = 12.  With every coefficient 0 the whole
+    # total sits in slot 0, here on both sides of the one-byte boundary
     spec = CongruenceSpec(12, (1,) * 11, 0)
     assert oracles.oracle_histogram(spec, "strict-order") == [1] * 12
     for spec, restriction in (
@@ -30,6 +31,14 @@ def test_histogram_totals():
         (CongruenceSpec(7, (0,) * 7, 0), "distinct"),
         (CongruenceSpec(2, (0,) * 12, 0), "all"),
         (BlockSpec(3, ((4, 0), (2, 0)), 0), "blocks"),
+        (CongruenceSpec(255, (0,), 0), "strict-order"),  # total 255
+        (CongruenceSpec(256, (0,), 0), "strict-order"),  # 256
+        (CongruenceSpec(255, (0,), 0), "all"),
+        (CongruenceSpec(256, (0,), 0), "all"),
+        (CongruenceSpec(16, (0, 0), 0), "distinct"),  # P(16, 2) = 240
+        (CongruenceSpec(17, (0, 0), 0), "distinct"),  # P(17, 2) = 272
+        (BlockSpec(255, ((1, 0),), 0), "blocks"),  # 255
+        (BlockSpec(16, ((1, 0), (1, 0)), 0), "blocks"),  # 16 * 16 = 256
     ):
         hist = oracles.oracle_histogram(spec, restriction)
         assert hist == [oracles.state_count(spec, restriction)] + [0] * (spec.n - 1), restriction

@@ -8,6 +8,7 @@ kept here as a second, unrelated method, and representation invariance.
 import functools
 import itertools
 import math
+import random
 
 import pytest
 
@@ -18,11 +19,12 @@ from lincong.model import BlockSpec, CongruenceSpec, OracleBudget
 
 @functools.cache
 def admitted_tuples(reps, k, restriction):
-    """Filter-based: the k-tuples over ``reps`` that the restriction admits."""
+    """The k-tuples over ``reps`` that the restriction admits: each k-subset
+    in decreasing order for strict order, else a filter over all k-tuples."""
+    if restriction == "strict-order":
+        return [c[::-1] for c in itertools.combinations(sorted(reps), k)]
     out = []
     for tup in itertools.product(reps, repeat=k):
-        if restriction == "strict-order" and not all(tup[i] > tup[i + 1] for i in range(k - 1)):
-            continue
         if restriction == "distinct" and len(set(tup)) != k:
             continue
         out.append(tup)
@@ -99,13 +101,25 @@ def test_oracle_against_reference():
 
 
 def test_value_dp_small_k_against_reference():
-    # k = 1 ends on the seeded one-position state; k = 2 adds one transfer
+    # distinct: k = 1 ends on the seeded one-position state, k = 2 adds one
+    # transfer; strict order: a chain of one or two rows over n - k + 1 values
     for n in (1, 2, 7, 30, 97):
         for coeffs in ((3,), (2, 5), (6, 1)):
             coeffs = tuple(a % n for a in coeffs)
             for restriction in ("strict-order", "distinct"):
                 got = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), restriction)
                 assert got == reference_histogram(n, coeffs, restriction), (n, coeffs, restriction)
+
+
+def test_strict_order_unequal_coefficients_against_reference():
+    # seeded coefficient tuples past the exhaustive grid above, up to k = n
+    rng = random.Random(12)
+    for n in (7, 11, 12):
+        for k in (1, 2, 3, 4, n - 1, n):
+            for _ in range(6):
+                coeffs = tuple(rng.randrange(n) for _ in range(k))
+                got = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "strict-order")
+                assert got == reference_histogram(n, coeffs, "strict-order"), (n, coeffs)
 
 
 def test_oracle_blocks_against_reference():
@@ -221,7 +235,7 @@ def test_state_counts():
 
 
 def test_gf_matches_strict_oracle():
-    # n = 97 and 200 give the packed DP slots of one to four bytes
+    # n = 97 and 200 give packed slots of one to four bytes
     grid = [(n, range(n)) for n in range(1, 21)] + [(97, (1, 5, 10)), (200, (1, 5, 10))]
     for n, a_values in grid:
         for a in a_values:
