@@ -97,8 +97,12 @@ def _nk(ns, k_max: int):
 # For the coefficient modes (all, square, strict, distinct) they are
 # (k, coeffs): the coefficients as given when k is None, else k copies of
 # the single coefficient coeffs[0].  blocks takes the block tuple and
-# ramanujan None.  Counters and oracles are looked up on their modules at
-# call time, so a patched or traced function is the one that runs.
+# ramanujan None.  A mode's ``instance`` builds what its counter and oracle
+# read, once per case: the spec at b = 0, from which the counter derives
+# each target's spec without checking the coefficients again, or the
+# modulus alone where the counter needs no spec (strict, ramanujan).
+# Counters and oracles are looked up on their modules at call time, so a
+# patched or traced function is the one that runs.
 
 
 class _Signed(NamedTuple):
@@ -112,8 +116,9 @@ class _Signed(NamedTuple):
 class _Mode(NamedTuple):
     parse: Callable  # count's arguments -> params; raises UsageError
     fields: Callable  # (n, params, b) -> record fields k, a or blocks, and b last
-    count: Callable  # (n, params, b, budget) -> CountResult
-    oracle: Callable  # (n, params, OracleBudget) -> count for every b
+    instance: Callable  # (n, params) -> what count and oracle read, built once per case
+    count: Callable  # (instance, params, b, budget) -> CountResult
+    oracle: Callable  # (instance, params, OracleBudget) -> count for every b
     verify_grid: Callable  # args -> [(n, params)] in lexicographic order
     golden: tuple  # (n, params, b, count) cases that selftest checks
     bench_grid: Callable | None = None  # args -> [(n, k, params)], at b = 1
@@ -172,23 +177,21 @@ def _blocks_fields(n, blocks, b):
     return {"k": sum(size for size, _ in blocks), "blocks": label, "b": b % n}
 
 
-def _coeff_spec(n, params, b):
+def _coeff_spec(n, params):
     k, coeffs = params
-    return CongruenceSpec(n, coeffs if k is None else coeffs * k, b)
+    return CongruenceSpec(n, coeffs if k is None else coeffs * k, 0)
 
 
-def _count_distinct(n, params, b, _budget):
+def _count_distinct(spec, params, b, _budget):
     k, coeffs = params
     if k is None:
-        return formulas.distinct_count_gcd_condition(CongruenceSpec(n, coeffs, b))
-    return formulas.distinct_count_equal_coeffs(n, k, coeffs[0], b)
+        return formulas.distinct_count_gcd_condition(spec.with_target(b))
+    return formulas.distinct_count_equal_coeffs(spec.n, k, coeffs[0], b)
 
 
-def _histogram(restriction: str, spec: Callable = _coeff_spec) -> Callable:
-    """The oracle histogram for ``restriction`` on spec(n, params, 0)."""
-    return lambda n, params, budget: oracles.oracle_histogram(
-        spec(n, params, 0), restriction, budget
-    )
+def _histogram(restriction: str) -> Callable:
+    """The oracle histogram for ``restriction`` on the case's spec."""
+    return lambda spec, _params, budget: oracles.oracle_histogram(spec, restriction, budget)
 
 
 def _coeff_grid(ns, k_max: int, values: Callable):
@@ -226,7 +229,8 @@ MODE_TABLE = {
     "all": _Mode(
         parse=_parse_coeffs,
         fields=_coeff_fields,
-        count=lambda n, p, b, _budget: formulas.lehmer_count(_coeff_spec(n, p, b)),
+        instance=_coeff_spec,
+        count=lambda spec, _p, b, _budget: formulas.lehmer_count(spec.with_target(b)),
         oracle=_histogram("all"),
         verify_grid=lambda args: _coeff_grid(_moduli(args, range(1, 13)), args.k_max or 3, range),
         golden=((27, (None, (1, 1)), 1, 27), (4, (None, (2,)), 3, 0), (6, (None, (2, 4)), 4, 12)),
@@ -234,8 +238,9 @@ MODE_TABLE = {
     "square": _Mode(
         parse=_parse_coeffs,
         fields=_coeff_fields,
-        count=lambda n, p, b, budget: formulas.square_count(
-            _coeff_spec(n, p, b), OracleBudget(budget)),
+        instance=_coeff_spec,
+        count=lambda spec, _p, b, budget: formulas.square_count(
+            spec.with_target(b), OracleBudget(budget)),
         oracle=_histogram("square"),
         verify_grid=lambda args: _coeff_grid(
             _moduli(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
@@ -248,8 +253,11 @@ MODE_TABLE = {
     "strict": _Mode(
         parse=_parse_strict,
         fields=_coeff_fields,
+        # the counter reads n, k and a: no spec of k coefficients for count
+        instance=lambda n, _params: n,
         count=lambda n, p, b, _budget: formulas.strict_order_count(n, p[0], p[1][0], b),
-        oracle=_histogram("strict-order"),
+        oracle=lambda n, p, budget: oracles.oracle_histogram(
+            _coeff_spec(n, p), "strict-order", budget),
         verify_grid=lambda args: (
             (n, (k, (a,)))
             for n, k in _nk(_moduli(args, range(1, 21)), args.k_max or 4) for a in range(n)
@@ -260,6 +268,7 @@ MODE_TABLE = {
     "distinct": _Mode(
         parse=_parse_distinct,
         fields=_coeff_fields,
+        instance=_coeff_spec,
         count=_count_distinct,
         oracle=_histogram("distinct"),
         verify_grid=lambda args: (
@@ -274,8 +283,9 @@ MODE_TABLE = {
     "blocks": _Mode(
         parse=_parse_blocks,
         fields=_blocks_fields,
-        count=lambda n, blocks, b, _budget: formulas.order_blocks_count(BlockSpec(n, blocks, b)),
-        oracle=_histogram("blocks", BlockSpec),
+        instance=lambda n, blocks: BlockSpec(n, blocks, 0),
+        count=lambda spec, _blocks, b, _budget: formulas.order_blocks_count(spec.with_target(b)),
+        oracle=_histogram("blocks"),
         verify_grid=_blocks_grid,
         bench_grid=lambda args: [(n, 4, ((2, 2), (2, 3))) for n in _moduli(args, (8, 12))],
         # the last three have blocks of size 1: Lehmer's unrestricted counts
@@ -286,6 +296,7 @@ MODE_TABLE = {
     "ramanujan": _Mode(
         parse=_parse_ramanujan,
         fields=lambda n, _params, b: {"b": b},
+        instance=lambda n, _params: n,
         count=lambda n, _params, b, _budget: _Signed(arith.ramanujan_sum(n, b)),
         # the divisor form: exact, and apart from the counter's Hoelder form
         oracle=lambda n, _params, _budget: [
@@ -411,7 +422,7 @@ def cmd_count(args) -> int:
         if "k" not in rec:
             raise UsageError(f"mode {args.mode} takes no -k")
         raise UsageError(f"-k {args.k} disagrees with the instance, which has k = {rec['k']}")
-    result = mode.count(args.n, params, args.b, _budget(args))
+    result = mode.count(mode.instance(args.n, params), params, args.b, _budget(args))
     if "blocks" in rec:  # count has always printed the block label after b
         rec["blocks"] = rec.pop("blocks")
     rec.update(count=result.count, method=result.method, residual=result.residual)
@@ -436,11 +447,12 @@ def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None]:
     fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
     del fixed["b"]  # the last field, so the rows' own fields follow the shared ones
     rows = []
+    instance = mode.instance(n, params)
     try:
-        hist = mode.oracle(n, params, OracleBudget(budget))
+        hist = mode.oracle(instance, params, OracleBudget(budget))
         for b in range(n):
             t0 = time.perf_counter()
-            res = mode.count(n, params, b, budget)
+            res = mode.count(instance, params, b, budget)
             dt = time.perf_counter() - t0
             rows.append((b, res.count, res.method, res.residual, dt, hist[b],
                          res.count == hist[b]))
@@ -501,8 +513,9 @@ def cmd_bench(args) -> int:
     writer.writerow(["n", "k", "mode", "t_formula_s", "t_oracle_s", "speedup"])
     budget = _budget(args)
     for n, k, params in grid:
-        t_formula = _timed(mode.count, n, params, 1, budget)
-        t_oracle = _timed(mode.oracle, n, params, OracleBudget(budget))
+        instance = mode.instance(n, params)
+        t_formula = _timed(mode.count, instance, params, 1, budget)
+        t_oracle = _timed(mode.oracle, instance, params, OracleBudget(budget))
         speedup = None
         if t_formula is not None and t_oracle is not None:
             speedup = t_oracle / t_formula if t_formula > 0 else math.inf
@@ -518,8 +531,9 @@ def cmd_bench(args) -> int:
 def _check_golden(mode: _Mode) -> None:
     """The counter and the oracle of ``mode`` give its golden values."""
     for n, params, b, expected in mode.golden:
-        values = [mode.count(n, params, b, OracleBudget.max_states).count,
-                  mode.oracle(n, params, OracleBudget())[b]]
+        instance = mode.instance(n, params)
+        values = [mode.count(instance, params, b, OracleBudget.max_states).count,
+                  mode.oracle(instance, params, OracleBudget())[b]]
         assert values == [expected] * 2, (n, params, b, values)
 
 

@@ -1,10 +1,15 @@
 """Closed-form counters for restricted solutions of linear congruences.
 
-Each counter returns a CountResult whose count is exact.  Divisor-sum
-formulas (strict order, distinct, common-gcd blocks) run in all-integer or
-exact-rational arithmetic; the square counter and the general block counter
-accumulate complex roots of unity and round at the end, recording the
-rounding residual.
+Each counter returns a CountResult whose count is exact.  The divisor-sum
+counters (strict order, distinct with equal coefficients through it, and
+blocks whose coefficients share one gcd f with n) run in plain integers;
+none takes an exact-rational route.  Each keeps its instance part, the
+pairs (d, c_d) that do not read the target, in a small cache, and evaluates
+a target as one integer Ramanujan sum, sum c_d*C_d(b/f) / n.  The distinct
+counter caches its subset-sum hypothesis check per coefficient tuple the
+same way.  The square counter and the general block counter accumulate
+complex roots of unity and round at the end, recording the rounding
+residual.
 
 Both float routes share work without changing a float operation: each call
 adds the same floats in the same order as the plain sum, so counts,
@@ -224,6 +229,39 @@ def _crt(residues: list[tuple[int, int]], n: int) -> int:
     return x % n
 
 
+# Sweeps visit every target of one instance in a row, so each cache of
+# instance parts keeps two entries.  A divisor-sum entry holds tau(gcd)
+# pairs; a block orbit plan or table of roots holds O(n) values (about
+# 15 MiB for both at n = 200000), which stay cached after the sweep.
+_INSTANCE_CACHE_SIZE = 2
+
+
+def _ramanujan_total(n: int, f: int, b: int, terms: tuple[tuple[int, int], ...]) -> int:
+    """The target part of a divisor-sum counter: [f | b] times
+    (sum of c * C_d(b/f) over the pairs (d, c) of ``terms``) / n, where f
+    divides n.  The Ramanujan sum takes the reduced target b/f: the inner
+    exponential sum collapses onto it, which matters exactly when f > 1."""
+    if b % f:
+        return 0
+    bf = b // f
+    total = 0
+    for d, c in terms:
+        total += c * arith.ramanujan_sum(d, bf)
+    value, rem = divmod(total, n)
+    if rem:
+        raise ConsistencyError(f"divisor sum {total} not divisible by {n}")
+    return value
+
+
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
+def _strict_terms(n: int, k: int, f: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, (-1)^(k + k/d) * f * C(n/d, k/d)) for d | gcd(n/f, k)."""
+    return tuple(
+        (d, (-1) ** (k + k // d) * f * math.comb(n // d, k // d))
+        for d in arith.divisors(math.gcd(n // f, k))
+    )
+
+
 def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
     """Count solutions of a*(x1+...+xk) = b (mod n) with x1 > x2 > ... > xk
     on the canonical residues [0, n).
@@ -233,29 +271,16 @@ def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
         ((-1)^k * f / n) * sum over d | gcd(n/f, k) of
             (-1)^(k/d) * C(n/d, k/d) * C_d(b/f)
 
-    evaluated in all-integer arithmetic.  The Ramanujan sum takes b/f: the
-    inner exponential sum collapses onto the reduced target, which matters
-    exactly when f > 1 (checked against enumeration across full sweeps).
+    evaluated in all-integer arithmetic, with the terms cached per
+    (n, k, f).  The Ramanujan sum takes b/f (checked against enumeration
+    across full sweeps).
     """
     if n < 1 or k < 1:
         raise DomainError("strict_order_count needs n >= 1 and k >= 1")
     if k > n:
         return CountResult(0, FORMULA)
     f = math.gcd(a, n)
-    b %= n
-    if b % f:
-        return CountResult(0, FORMULA)
-    bf = b // f
-    total = 0
-    for d in arith.divisors(math.gcd(n // f, k)):
-        sign = -1 if (k // d) % 2 else 1
-        total += sign * math.comb(n // d, k // d) * arith.ramanujan_sum(d, bf)
-    if k % 2:
-        total = -total
-    value, rem = divmod(f * total, n)
-    if rem:
-        raise ConsistencyError(f"strict order sum {f * total} not divisible by {n}")
-    return CountResult(value, FORMULA)
+    return CountResult(_ramanujan_total(n, f, b, _strict_terms(n, k, f)), FORMULA)
 
 
 def distinct_count_equal_coeffs(n: int, k: int, a: int, b: int) -> CountResult:
@@ -273,8 +298,14 @@ def subset_sum_obstruction(n: int, coeffs) -> tuple[tuple[int, ...], int] | None
     The sums of all 2**k subsets are built by doubling (bit i of a mask is
     position i), so the check that passes, as every counted instance does,
     takes one addition and one gcd per subset.  Only an obstructed tuple
-    walks the subsets in order to name the first one.
+    walks the subsets in order to name the first one.  The outcome is
+    cached per (n, coefficient tuple).
     """
+    return _subset_sum_obstruction(n, tuple(coeffs))
+
+
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
+def _subset_sum_obstruction(n: int, coeffs: tuple[int, ...]):
     k = len(coeffs)
     sums = [0]
     for c in coeffs:
@@ -297,12 +328,13 @@ def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
         g does not divide b:  (-1)^k (k-1)! + F
         g divides b:          (-1)^(k-1) (k-1)! (g-1) + F
 
-    The subset hypothesis is checked exhaustively (k <= 20 enforced).
+    The subset hypothesis is checked exhaustively (k <= 20 enforced), once
+    per coefficient tuple.
     """
     n, k = spec.n, spec.k
     if k > 20:
         raise DomainError(f"subset hypothesis check limited to k <= 20, got {k}")
-    obstruction = subset_sum_obstruction(n, spec.coeffs)
+    obstruction = _subset_sum_obstruction(n, spec.coeffs)
     if obstruction is not None:
         subset, s = obstruction
         raise DomainError(f"subset {subset} has sum {s} with gcd({s}, {n}) > 1")
@@ -318,40 +350,31 @@ def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
     return CountResult(value, FORMULA)
 
 
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
+def _common_block_terms(n: int, sizes: tuple[int, ...], f: int) -> tuple[tuple[int, int], ...]:
+    """The pairs (d, f * prod_i C(n/d + k_i/d - 1, k_i/d)) for
+    d | gcd(n/f, k_1, ..., k_t)."""
+    return tuple(
+        (d, f * math.prod(math.comb(n // d + ki // d - 1, ki // d) for ki in sizes))
+        for d in arith.divisors(math.gcd(n // f, *sizes))
+    )
+
+
 def _blocks_common_gcd(n: int, sizes: tuple[int, ...], f: int, b: int) -> CountResult:
     """Single divisor sum for blocks whose coefficients share gcd f with n:
 
         (f/n) * sum over d | gcd(n/f, k1, ..., kt) of
-            n^t / ((n+k1)...(n+kt))
-            * prod_i C((n+ki)/d, ki/d) * C_d(b/f)
+            prod_i C(n/d + ki/d - 1, ki/d) * C_d(b/f)
 
-    computed with exact rationals; 0 when f does not divide b.  As with the
-    strict counter, the Ramanujan sum takes the reduced target b/f.
+    in plain integers, 0 when f does not divide b.  Each binomial is the
+    paper's n/(n+ki) * C((n+ki)/d, ki/d), with the prefactor folded in.  The
+    terms are cached per (n, sizes, f) and, as with the strict counter, the
+    Ramanujan sum takes the reduced target b/f.
     """
-    if b % f:
-        return CountResult(0, FORMULA)
-    bf = b // f
-    t = len(sizes)
-    prefactor = Fraction(n**t, math.prod(n + ki for ki in sizes))
-    total = Fraction(0)
-    for d in arith.divisors(math.gcd(n // f, *sizes)):
-        term = Fraction(arith.ramanujan_sum(d, bf))
-        for ki in sizes:
-            term *= math.comb((n + ki) // d, ki // d)
-        total += term
-    value = Fraction(f, n) * prefactor * total
-    if value.denominator != 1:
-        raise ConsistencyError(f"block count {value} is not an integer")
-    return CountResult(int(value), FORMULA)
+    return CountResult(_ramanujan_total(n, f, b, _common_block_terms(n, sizes, f)), FORMULA)
 
 
-# Sweeps visit every target of one instance in a row, so two entries
-# suffice.  A plan or a table holds O(n) values (about 15 MiB for both at
-# n = 200000), which stay cached after the sweep.
-_BLOCK_CACHE_SIZE = 2
-
-
-@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _block_orbit_plan(
     n: int, sizes: tuple[int, ...], coeffs: tuple[int, ...]
 ) -> tuple[tuple[float, tuple[int, ...]], ...]:
@@ -381,7 +404,7 @@ def _block_orbit_plan(
     return tuple(plan)
 
 
-@lru_cache(maxsize=_BLOCK_CACHE_SIZE)
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _roots_of_unity(n: int) -> tuple[complex, ...]:
     """e(r/n) for r in [0, n), each as arith.root_of_unity computes it."""
     return tuple(arith.root_of_unity(r, n) for r in range(n))
@@ -391,12 +414,13 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     """Count solutions that are weakly decreasing within each coefficient
     block.
 
-    When all gcd(a_i, n) agree, uses the single divisor sum (exact rational
-    arithmetic, integer result).  Otherwise evaluates the general form: for
-    every divisor tuple (d_1, ..., d_t) with integral j_i = k_i*d_i/n, the
-    weight prod_i d_i/(d_i+j_i) * C(d_i+j_i, j_i) multiplies the exponential
-    sum over m in [1, n] with gcd(a_i*m, n) = d_i for every i, and the total
-    is divided by n and rounded with a recorded residual.  Divisor tuples with
+    When all gcd(a_i, n) equal one f, uses the single divisor sum
+    (_blocks_common_gcd) in plain integers, its terms built once per
+    (n, sizes, f).  Otherwise evaluates the general form: for every divisor
+    tuple (d_1, ..., d_t) with integral j_i = k_i*d_i/n, the weight
+    prod_i d_i/(d_i+j_i) * C(d_i+j_i, j_i) multiplies the exponential sum
+    over m in [1, n] with gcd(a_i*m, n) = d_i for every i, and the total is
+    divided by n and rounded with a recorded residual.  Divisor tuples with
     a fractional j_i have weight 0 and are skipped.
 
     Only the roots e(-b*m/n) depend on the target.  The weights and the m of

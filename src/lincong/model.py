@@ -11,8 +11,19 @@ FORMULA = "formula"
 ORACLE_FALLBACK = "oracle-fallback"
 
 
+class _Instance:
+    """What the two spec classes share: the same instance at another target."""
+
+    def with_target(self, b: int):
+        """This instance with target b, reduced into [0, n).  The other
+        fields are shared as they are: reduced and checked already."""
+        spec = object.__new__(type(self))
+        spec.__dict__.update(self.__dict__, b=int(b) % self.n)
+        return spec
+
+
 @dataclass(frozen=True)
-class CongruenceSpec:
+class CongruenceSpec(_Instance):
     """An instance a1*x1 + ... + ak*xk = b (mod n); coefficients and target
     are stored reduced into [0, n)."""
 
@@ -36,7 +47,7 @@ class CongruenceSpec:
 
 
 @dataclass(frozen=True)
-class BlockSpec:
+class BlockSpec(_Instance):
     """Block structure for order-restricted counting: within each block of
     size k_i all variables share the coefficient a_i and must be weakly
     decreasing.  Coefficients and target are reduced into [0, n)."""

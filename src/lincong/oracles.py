@@ -40,22 +40,28 @@ def _check_restriction(restriction: str) -> None:
 def state_count(spec: CongruenceSpec | BlockSpec, restriction: str = "all") -> int:
     """Number of tuples the restriction admits for this instance: the
     histogram's total, and what oracle_histogram charges to the budget."""
+    return _admitted(spec, restriction)[0]
+
+
+def _admitted(spec: CongruenceSpec | BlockSpec, restriction: str):
+    """(state_count, the residues one slot ranges over), the latter for
+    all and square only (None otherwise), so the squares mod n are listed
+    once per histogram."""
     _check_restriction(restriction)
     n = spec.n
     if restriction == "blocks":
         if not isinstance(spec, BlockSpec):
             raise DomainError("blocks restriction needs a BlockSpec")
-        return math.prod(math.comb(n + ki - 1, ki) for ki in spec.sizes)
+        return math.prod(math.comb(n + ki - 1, ki) for ki in spec.sizes), None
     if isinstance(spec, BlockSpec):
         raise DomainError(f"restriction {restriction!r} needs a CongruenceSpec")
     k = spec.k
-    if restriction == "all":
-        return n**k
     if restriction == "strict-order":
-        return math.comb(n, k)
+        return math.comb(n, k), None
     if restriction == "distinct":
-        return math.perm(n, k)
-    return characters.square_profile(n).s ** k
+        return math.perm(n, k), None
+    domain = _domain(n, restriction)
+    return len(domain) ** k, domain
 
 
 def oracle_histogram(
@@ -79,10 +85,9 @@ def oracle_histogram(
     unless all coefficients are equal (a strictly ordered tuple is then a
     k-subset of Z_n, whose sum does not depend on representatives).  The
     other restrictions do not depend on the representatives."""
-    _check_restriction(restriction)
     if budget is None:
         budget = OracleBudget()
-    total = state_count(spec, restriction)
+    total, domain = _admitted(spec, restriction)
     budget.charge(total)
     n = spec.n
     if total == 0:
@@ -91,7 +96,6 @@ def oracle_histogram(
     if restriction == "blocks":
         hist = _convolve(n, width, [_chain(n, width, (a,) * size, n) for size, a in spec.blocks])
     elif restriction in ("all", "square"):
-        domain = _domain(n, restriction)
         hist = _convolve(n, width, [_count_vector(n, width, a, domain) for a in spec.coeffs])
     elif restriction == "strict-order":
         # x_j = y_j + (k - j) maps weakly decreasing y over [0, n - k + 1)
@@ -131,8 +135,9 @@ def oracle_solutions(
         raise DomainError(f"limit must be >= 0, got {limit}")
     if budget is None:
         budget = OracleBudget()
-    budget.charge(state_count(spec, restriction))
-    tuples = itertools.product(_domain(spec.n, restriction), repeat=spec.k)
+    total, domain = _admitted(spec, restriction)
+    budget.charge(total)
+    tuples = itertools.product(domain, repeat=spec.k)
     hits = (t for t in tuples if sum(a * x for a, x in zip(spec.coeffs, t)) % spec.n == spec.b)
     return list(itertools.islice(hits, limit))
 

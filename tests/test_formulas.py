@@ -410,6 +410,74 @@ def test_blocks_cache_keys_on_coefficients_and_sizes():
             assert got.count == hist[b], (blocks, b)
 
 
+def test_divisor_sum_caches_key_on_f():
+    # targets interleaved across instances that share every other key field
+    # of a cache but differ in f = gcd(a, n), so terms cached under too loose
+    # a key give a wrong count
+    for n, k in ((12, 2), (12, 3), (12, 4), (18, 3)):
+        coeffs = (1, 2, 3, 4, 6, 9, 0)  # f = gcd(a, n) from 1 up to n
+        hists = [oracles.oracle_histogram(CongruenceSpec(n, (a,) * k, 0), "strict-order")
+                 for a in coeffs]
+        for b in range(n):
+            for a, hist in zip(coeffs, hists):
+                assert formulas.strict_order_count(n, k, a, b).count == hist[b], (n, k, a, b)
+    n = 12
+    for sizes in ((2, 3), (1, 4), (2, 2, 2)):
+        # every coefficient of a tuple has gcd f with 12: f = 1, 2, 3, 4, 6, 12
+        coeffs = ((1, 5, 7), (2, 10, 2), (3, 9, 3), (4, 8, 4), (6, 6, 6), (0, 0, 0))
+        specs = [tuple(zip(sizes, c)) for c in coeffs]
+        hists = [oracles.oracle_histogram(BlockSpec(n, blocks, 0), "blocks") for blocks in specs]
+        for b in range(n):
+            for blocks, hist in zip(specs, hists):
+                got = formulas.order_blocks_count(BlockSpec(n, blocks, b))
+                assert got.count == hist[b], (blocks, b)
+    # distinct tuples at one n, some of them obstructed
+    n = 15
+    tuples = ((1, 1), (1, 3), (1, 2), (2, 5, 7), (1, 1, 2), (4, 4), (1, 2, 4))
+    hists = {c: oracles.oracle_histogram(CongruenceSpec(n, c, 0), "distinct") for c in tuples}
+    obstructed = {c for c in tuples if formulas.subset_sum_obstruction(n, c) is not None}
+    assert 0 < len(obstructed) < len(tuples)
+    for b in range(n):
+        for coeffs in tuples:
+            spec = CongruenceSpec(n, coeffs, b)
+            if coeffs in obstructed:
+                with pytest.raises(DomainError):
+                    formulas.distinct_count_gcd_condition(spec)
+            else:
+                got = formulas.distinct_count_gcd_condition(spec)
+                assert got.count == hists[coeffs][b], (coeffs, b)
+
+
+def test_blocks_common_gcd_integer_sum_grid():
+    # the integer divisor sum at every common gcd f | n, f > 1 included, with
+    # block sizes up to 4
+    checked = 0
+    for n in (4, 6, 8, 9, 10, 12):
+        units = [u for u in range(1, n) if math.gcd(u, n) == 1]
+        for f in arith.divisors(n):
+            coeffs = [f * u % n for u in units[:3]]  # each has gcd f with n
+            for t in (1, 2, 3):
+                for sizes in itertools.combinations_with_replacement(range(1, 5), t):
+                    if t == 3 and sum(sizes) > 6:
+                        continue
+                    blocks = tuple((s, coeffs[i % len(coeffs)]) for i, s in enumerate(sizes))
+                    hist = oracles.oracle_histogram(BlockSpec(n, blocks, 0), "blocks")
+                    for b in range(n):
+                        got = formulas.order_blocks_count(BlockSpec(n, blocks, b))
+                        assert (got.count, got.residual) == (hist[b], 0.0), (n, blocks, b)
+                    checked += f > 1
+    assert checked > 300
+
+
+def test_blocks_common_gcd_past_2_64():
+    # f = 2 at n = 60, three blocks of size 10: even targets count above 2**110
+    blocks = ((10, 2), (10, 14), (10, 22))
+    hist = oracles.oracle_histogram(BlockSpec(60, blocks, 0), "blocks", OracleBudget(10**40))
+    assert max(hist) > 2**64
+    for b in range(60):
+        assert formulas.order_blocks_count(BlockSpec(60, blocks, b)).count == hist[b], b
+
+
 def _square_per_subset_reference(spec):
     """The odd-n square count with every subset product multiplied anew: a
     k x p^ell table of terms, then for each nonempty subset K, by size and
