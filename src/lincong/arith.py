@@ -12,13 +12,17 @@ closed form.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
+from .model import FrozenValue
 
 # Relative tolerance for rounding complex accumulations to exact integers.
 ROUND_TOL = 1e-6
+
+# Entries each cache below keeps: a benchmark round or a default verify grid
+# needs at most about 1100, and a long sweep of moduli holds no more than this.
+CACHE_SIZE = 4096
 
 
 def is_prime(n: int) -> bool:
@@ -37,8 +41,7 @@ def is_prime(n: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class Factorization:
+class Factorization(FrozenValue):
     """A positive integer with its prime-power decomposition.
 
     ``factors`` is a tuple of (prime, exponent) pairs with strictly
@@ -46,24 +49,25 @@ class Factorization:
     the empty product.
     """
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = ("n", "factors")
 
-    def __post_init__(self):
-        if self.n < 1:
-            raise DomainError(f"factorization requires n >= 1, got {self.n}")
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+        if n < 1:
+            raise DomainError(f"factorization requires n >= 1, got {n}")
         prod = 1
         prev = 1
-        for p, e in self.factors:
+        for p, e in factors:
             if p <= prev or e < 1 or not is_prime(p):
-                raise DomainError(f"bad factor ({p}, {e}) in factorization of {self.n}")
+                raise DomainError(f"bad factor ({p}, {e}) in factorization of {n}")
             prev = p
             prod *= p**e
-        if prod != self.n:
-            raise DomainError(f"factors of {self.n} multiply to {prod}")
+        if prod != n:
+            raise DomainError(f"factors of {n} multiply to {prod}")
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "factors", factors)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> Factorization:
     """Prime factorization by trial division; factorize(1) has no factors."""
     if n < 1:
@@ -88,7 +92,7 @@ def _as_factorization(f: Factorization | int) -> Factorization:
     return f if isinstance(f, Factorization) else factorize(f)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n, in increasing order."""
     divs = [1]
@@ -170,7 +174,7 @@ def round_complex_to_int(z: complex, tol: float = ROUND_TOL) -> tuple[int, float
     return n, resid
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _ramanujan_of_gcd(n: int, g: int) -> int:
     # Hoelder's closed form with g = gcd(b, n) already taken.
     m = n // g

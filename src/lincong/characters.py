@@ -11,10 +11,10 @@ closed form, that decomposition and the other lemmas against literal sums.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import arith
 from .errors import DomainError
+from .model import FrozenValue
 
 
 def gauss_sum_real_prime_power(p: int, ell: int, m: int) -> complex:
@@ -57,15 +57,15 @@ def square_indicator(n: int, b: int) -> int:
     return 1
 
 
-@dataclass(frozen=True)
-class SquareProfile:
+class SquareProfile(FrozenValue):
     """The squares modulo n: the set itself, its size s, and the number q of
     quadratic residues (unit squares)."""
 
-    n: int
-    square_set: frozenset[int]
-    s: int
-    q: int
+    __slots__ = ("n", "square_set", "s", "q")
+
+    def __init__(self, n: int, square_set: frozenset[int], s: int, q: int):
+        for name, value in zip(self.__slots__, (n, square_set, s, q)):
+            object.__setattr__(self, name, value)
 
 
 def square_profile(n: int) -> SquareProfile:

@@ -10,7 +10,9 @@ checks are each one loop over it.  Each command takes only its own flags.
 Exit codes: 0 success, 1 selftest/verify mismatch, 2 usage error,
 3 internal-consistency failure.  Records are JSON lines by default or CSV
 with a single header; all output is deterministic for fixed flags (sweep
-rows come out in lexicographic grid order, whatever --jobs is).
+rows come out in lexicographic grid order, whatever --jobs is).  The
+process pool behind verify --jobs is imported on first use: it pulls in
+multiprocessing, which would double the start-up time of every command.
 
 A verify case is one oracle histogram checked at every target b.  Its rows
 share mode, n and k, a or blocks, so a case carries those fields once and
@@ -28,7 +30,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -468,6 +469,7 @@ def cmd_verify(args) -> int:
     total_rows = mismatches = skipped = 0
     max_residual = 0.0
     if args.jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
             outcomes = list(pool.map(_case_rows, cases, chunksize=8))
     else:

@@ -285,8 +285,10 @@ def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
 
 def distinct_count_equal_coeffs(n: int, k: int, a: int, b: int) -> CountResult:
     """Count solutions with all coordinates distinct when every coefficient
-    equals a: k! times the strictly ordered count."""
+    equals a: k! times the strictly ordered count, when that is not 0."""
     ordered = strict_order_count(n, k, a, b)
+    if not ordered.count:
+        return ordered
     return CountResult(math.factorial(k) * ordered.count, ordered.method)
 
 

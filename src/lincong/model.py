@@ -1,8 +1,12 @@
-"""Domain types shared by the counters and the oracles."""
+"""Domain types shared by the counters and the oracles.
+
+The frozen value types (the specs and CountResult here, arith.Factorization
+and characters.SquareProfile) are ``__slots__`` classes on FrozenValue: a
+frozen dataclass's equality, hash, repr and pickling by field, without the
+import cost of dataclasses that every run would pay.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 
@@ -10,26 +14,59 @@ from .errors import BudgetExceededError, ConsistencyError, DomainError
 FORMULA = "formula"
 ORACLE_FALLBACK = "oracle-fallback"
 
+_set = object.__setattr__  # how __init__ sets a field past FrozenValue.__setattr__
 
-class _Instance:
-    """What the two spec classes share: the same instance at another target."""
+
+class FrozenValue:
+    """Fields are the names in ``__slots__``.  Instances of one class with equal
+    fields are equal; assigning or deleting a field raises AttributeError."""
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self._fields() == other._fields() if same else NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({body})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self), self._fields()  # the fields pass __init__'s checks unchanged
+
+
+class _Instance(FrozenValue):
+    """What the two spec classes share: fields (n, shape, b), and with_target."""
+
+    __slots__ = ()
 
     def with_target(self, b: int):
         """This instance with target b, reduced into [0, n).  The other
         fields are shared as they are: reduced and checked already."""
+        n, shape = self.n, self.__slots__[1]
         spec = object.__new__(type(self))
-        spec.__dict__.update(self.__dict__, b=int(b) % self.n)
+        _set(spec, "n", n)
+        _set(spec, shape, getattr(self, shape))
+        _set(spec, "b", int(b) % n)
         return spec
 
 
-@dataclass(frozen=True)
 class CongruenceSpec(_Instance):
     """An instance a1*x1 + ... + ak*xk = b (mod n); coefficients and target
     are stored reduced into [0, n)."""
 
-    n: int
-    coeffs: tuple[int, ...]
-    b: int
+    __slots__ = ("n", "coeffs", "b")
 
     def __init__(self, n: int, coeffs, b: int):
         if n < 1:
@@ -37,24 +74,21 @@ class CongruenceSpec(_Instance):
         coeffs = tuple(int(a) % n for a in coeffs)
         if not coeffs:
             raise DomainError("at least one coefficient is required")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "b", int(b) % n)
+        _set(self, "n", n)
+        _set(self, "coeffs", coeffs)
+        _set(self, "b", int(b) % n)
 
     @property
     def k(self) -> int:
         return len(self.coeffs)
 
 
-@dataclass(frozen=True)
 class BlockSpec(_Instance):
     """Block structure for order-restricted counting: within each block of
     size k_i all variables share the coefficient a_i and must be weakly
     decreasing.  Coefficients and target are reduced into [0, n)."""
 
-    n: int
-    blocks: tuple[tuple[int, int], ...]
-    b: int
+    __slots__ = ("n", "blocks", "b")
 
     def __init__(self, n: int, blocks, b: int):
         if n < 1:
@@ -62,9 +96,9 @@ class BlockSpec(_Instance):
         blocks = tuple((int(size), int(coeff) % n) for size, coeff in blocks)
         if not blocks or any(size < 1 for size, _ in blocks):
             raise DomainError("every block needs size >= 1")
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "blocks", blocks)
-        object.__setattr__(self, "b", int(b) % n)
+        _set(self, "n", n)
+        _set(self, "blocks", blocks)
+        _set(self, "b", int(b) % n)
 
     @property
     def sizes(self) -> tuple[int, ...]:
@@ -79,33 +113,43 @@ class BlockSpec(_Instance):
         return sum(self.sizes)
 
 
-@dataclass(frozen=True)
-class CountResult:
+class CountResult(FrozenValue):
     """An exact count, the route that produced it (``method``: FORMULA, or
     ORACLE_FALLBACK when square_count enumerates an even modulus), and the
     worst rounding residual of any complex-arithmetic step (0 on exact
     routes)."""
 
-    count: int
-    method: str
-    residual: float = 0.0
+    __slots__ = ("count", "method", "residual")
 
-    def __post_init__(self):
-        if self.count < 0:
-            raise ConsistencyError(f"negative count {self.count} ({self.method})")
-        if not 0.0 <= self.residual < 1e-6:
-            raise ConsistencyError(f"residual {self.residual} out of range")
+    def __init__(self, count: int, method: str, residual: float = 0.0):
+        if count < 0:
+            raise ConsistencyError(f"negative count {count} ({method})")
+        if not 0.0 <= residual < 1e-6:
+            raise ConsistencyError(f"residual {residual} out of range")
+        _set(self, "count", count)
+        _set(self, "method", method)
+        _set(self, "residual", residual)
 
 
-@dataclass
 class OracleBudget:
     """Budget for the oracle histograms, in tuples counted.  ``charge`` is
     called with the number of tuples a restriction admits (a "state" each,
     oracles.state_count) before the histogram is built, so the budget can
     never be exceeded mid-run and failed calls never return partial counts."""
 
-    max_states: int = 10**8
-    used: int = field(default=0, compare=False)
+    max_states: int = 10**8  # the default, read by the CLI
+
+    def __init__(self, max_states: int = max_states, used: int = 0):
+        self.max_states, self.used = max_states, used
+
+    def __eq__(self, other):
+        same = other.__class__ is self.__class__
+        return self.max_states == other.max_states if same else NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return f"OracleBudget(max_states={self.max_states!r}, used={self.used!r})"
 
     def charge(self, states: int) -> None:
         if states < 0:

@@ -40,6 +40,18 @@ def test_factorize_rejects_zero():
         arith.factorize(0)
 
 
+def test_arith_caches_stay_bounded():
+    cached = (arith.factorize, arith.divisors, arith._ramanujan_of_gcd)
+    for fn in cached:
+        assert fn.cache_info().maxsize == arith.CACHE_SIZE
+    for n in range(1, 3 * arith.CACHE_SIZE):
+        arith.divisors(n)
+        arith.ramanujan_sum(n, 6)
+    for fn in cached:
+        assert 0 < fn.cache_info().currsize <= arith.CACHE_SIZE
+    assert arith.factorize(720720).factors == ((2, 4), (3, 2), (5, 1), (7, 1), (11, 1), (13, 1))
+
+
 def test_bad_factorization_rejected():
     with pytest.raises(DomainError):
         arith.Factorization(12, ((2, 1), (3, 1)))
@@ -47,6 +59,11 @@ def test_bad_factorization_rejected():
         arith.Factorization(12, ((3, 1), (2, 2)))
     with pytest.raises(DomainError):
         arith.Factorization(16, ((4, 2),))
+    with pytest.raises(DomainError):
+        arith.Factorization(4, ((2, 0), (2, 2)))
+    with pytest.raises(DomainError):
+        arith.Factorization(0, ())
+    assert arith.Factorization(1, ()) == arith.factorize(1)
 
 
 def test_euler_phi():

@@ -343,6 +343,21 @@ def test_bench_formula_over_budget_gives_empty_row(capsys):
     assert rows[1:] == [["8", "2", "square", "", "", ""]]
 
 
+def test_cli_import_leaves_out_pool_and_dataclasses(cli_env):
+    # Against the modules the bare interpreter already holds, so a site
+    # that preloads some of them does not count against lincong.
+    code = (
+        "import sys; bare = set(sys.modules); import lincong.cli; "
+        "print(' '.join(sorted(set(sys.modules) - bare)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=cli_env, check=True)
+    added = set(proc.stdout.split())
+    assert "lincong.cli" in added
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+    assert not added & set(heavy), sorted(added & set(heavy))
+
+
 def test_selftest_passes_and_is_deterministic(cli_env):
     proc1 = subprocess.run(
         [sys.executable, "-m", "lincong.cli", "selftest"], capture_output=True, text=True,

@@ -24,6 +24,8 @@ def test_congruence_spec_reduces():
         CongruenceSpec(5, (), 0)
     with pytest.raises(DomainError):
         CongruenceSpec(0, (1,), 0)
+    with pytest.raises(DomainError):
+        CongruenceSpec(-3, (1,), 0)
 
 
 def test_count_result_invariants():
@@ -31,6 +33,9 @@ def test_count_result_invariants():
         CountResult(-1, "formula")
     with pytest.raises(ConsistencyError):
         CountResult(1, "formula", residual=1e-3)
+    with pytest.raises(ConsistencyError):
+        CountResult(1, "formula", residual=-1e-9)
+    assert CountResult(0, "formula", 9e-7).residual == 9e-7
 
 
 def test_lehmer_examples():
@@ -180,6 +185,20 @@ def test_distinct_equal_is_factorial_times_strict():
                     strict = formulas.strict_order_count(n, k, a, b).count
                     distinct = formulas.distinct_count_equal_coeffs(n, k, a, b).count
                     assert distinct == math.factorial(k) * strict
+
+
+def test_distinct_equal_zero_count_skips_factorial(monkeypatch):
+    # k > n leaves no strictly ordered tuple, so k! is never needed; at
+    # k = 300000 computing it would take over a second
+    def refuse(k):
+        raise AssertionError(f"factorial({k}) computed for a zero count")
+
+    monkeypatch.setattr(math, "factorial", refuse)
+    for n, k in ((5, 300000), (5, 6), (1, 2)):
+        for b in range(n):
+            res = formulas.distinct_count_equal_coeffs(n, k, 1, b)
+            assert res == CountResult(0, FORMULA)
+    assert formulas.distinct_count_equal_coeffs(4, 2, 2, 1) == CountResult(0, FORMULA)
 
 
 def test_distinct_equal_unit_case_closed_form():
@@ -545,3 +564,7 @@ def test_blocks_spec_validation():
         BlockSpec(6, ((0, 1),), 0)
     with pytest.raises(DomainError):
         BlockSpec(6, (), 0)
+    with pytest.raises(DomainError):
+        BlockSpec(6, ((2, 1), (-1, 1)), 0)
+    with pytest.raises(DomainError):
+        BlockSpec(0, ((1, 1),), 0)
