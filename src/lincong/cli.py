@@ -19,6 +19,10 @@ share mode, n and k, a or blocks, so a case carries those fields once and
 each row as a tuple of the fields that vary; Emitter.case encodes the shared
 fields once per case and writes the case's rows at once, in the same bytes
 as one record per row.
+
+wall_time_s (a row's counter call, or the whole count command) is read
+with time.perf_counter_ns() and written as ns / 1e9: whole nanoseconds,
+whose short repr formats in half the time of a perf_counter() difference's.
 """
 
 from __future__ import annotations
@@ -416,7 +420,7 @@ def cmd_count(args) -> int:
     mode = MODE_TABLE[args.mode]
     if args.budget is not None and not mode.count_budget:
         raise UsageError(f"mode {args.mode} takes no --budget")
-    t0 = time.perf_counter()
+    t0 = time.perf_counter_ns()
     params = mode.parse(args)
     rec = {"mode": args.mode, "n": args.n, **mode.fields(args.n, params, args.b)}
     if args.k is not None and args.k != rec.get("k"):
@@ -427,7 +431,7 @@ def cmd_count(args) -> int:
     if "blocks" in rec:  # count has always printed the block label after b
         rec["blocks"] = rec.pop("blocks")
     rec.update(count=result.count, method=result.method, residual=result.residual)
-    rec["wall_time_s"] = time.perf_counter() - t0
+    rec["wall_time_s"] = (time.perf_counter_ns() - t0) / 1e9
     Emitter(args.format).record(rec)
     return 0
 
@@ -452,9 +456,9 @@ def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None]:
     try:
         hist = mode.oracle(instance, params, OracleBudget(budget))
         for b in range(n):
-            t0 = time.perf_counter()
+            t0 = time.perf_counter_ns()
             res = mode.count(instance, params, b, budget)
-            dt = time.perf_counter() - t0
+            dt = (time.perf_counter_ns() - t0) / 1e9
             rows.append((b, res.count, res.method, res.residual, dt, hist[b],
                          res.count == hist[b]))
     except BudgetExceededError as exc:

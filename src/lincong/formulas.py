@@ -6,24 +6,24 @@ blocks whose coefficients share one gcd f with n) run in plain integers;
 none takes an exact-rational route.  Each keeps its instance part, the
 pairs (d, c_d) that do not read the target, in a small cache, and evaluates
 a target as one integer Ramanujan sum, sum c_d*C_d(b/f) / n.  The distinct
-counter caches its subset-sum hypothesis check per coefficient tuple the
-same way.  The square counter and the general block counter accumulate
-complex roots of unity and round at the end, recording the rounding
-residual.
+counter caches its subset-sum hypothesis check, one pass over the subsets,
+per coefficient tuple the same way.  The square counter and the general
+block counter accumulate complex roots of unity and round at the end,
+recording the rounding residual.
 
 Both float routes share work without changing a float operation: each call
 adds the same floats in the same order as the plain sum, so counts,
 residuals and errors stay bit for bit the same.  The general block counter
 keeps its target-independent work in small caches, one orbit plan per
-(n, sizes, coefficients) and one table of roots per n.  The square counter
-shares work within a call only: one table of terms per prime power, and the
-products of all coefficient subsets built by doubling, 2**10 at a time.  It
-caches nothing across calls.  A table keyed on the coefficients would not
-hit when every target comes with fresh coefficients, and one keyed on the
-prime power alone would keep serving terms computed before a patched
-epsilon or Gauss sum, which the self-test's mutation check relies on seeing.
-Every counter is verified against the independent oracle histograms in the
-test suite.
+(n, sizes, coefficients), with integer block weights, and one table of
+roots per n.  The square counter shares work within a call only: one table
+of terms per prime power, and the products of all coefficient subsets built
+by doubling, 2**10 at a time.  It caches nothing across calls.  A table
+keyed on the coefficients would not hit when every target comes with fresh
+coefficients, and one keyed on the prime power alone would keep serving
+terms computed before a patched epsilon or Gauss sum, which the self-test's
+mutation check relies on seeing.  Every counter is verified against the
+independent oracle histograms in the test suite.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from fractions import Fraction
 from functools import lru_cache
 from operator import add
 
@@ -298,27 +297,29 @@ def subset_sum_obstruction(n: int, coeffs) -> tuple[tuple[int, ...], int] | None
     as (positions, s); None when the distinct-count hypothesis holds.
 
     The sums of all 2**k subsets are built by doubling (bit i of a mask is
-    position i), so the check that passes, as every counted instance does,
-    takes one addition and one gcd per subset.  Only an obstructed tuple
-    walks the subsets in order to name the first one.  The outcome is
-    cached per (n, coefficient tuple).
+    position i), and one pass walks the proper subsets in the order above,
+    one gcd each, up to the first obstruction; the masks of that walk come
+    from a table per k.  The outcome is cached per (n, coefficient tuple).
     """
     return _subset_sum_obstruction(n, tuple(coeffs))
 
 
+@lru_cache(maxsize=8)  # a verify grid goes through k = 1..k_max at every n
+def _subset_walk(k: int) -> tuple[int, ...]:
+    """The masks of the proper nonempty subsets of k positions, in walk order."""
+    walk = (itertools.combinations(range(k), size) for size in range(1, k))
+    return tuple(sum(1 << i for i in subset) for subset in itertools.chain.from_iterable(walk))
+
+
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _subset_sum_obstruction(n: int, coeffs: tuple[int, ...]):
-    k = len(coeffs)
     sums = [0]
     for c in coeffs:
         sums += [s + c for s in sums]
-    if all(math.gcd(s, n) == 1 for s in sums[1:-1]):  # the proper nonempty masks
-        return None
-    for size in range(1, k):
-        for subset in itertools.combinations(range(k), size):
-            s = sums[sum(1 << i for i in subset)]
-            if math.gcd(s, n) != 1:
-                return subset, s
+    for mask in _subset_walk(len(coeffs)):
+        if math.gcd(sums[mask], n) != 1:
+            return tuple(i for i in range(len(coeffs)) if mask >> i & 1), sums[mask]
+    return None
 
 
 def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
@@ -381,18 +382,19 @@ def _block_orbit_plan(
     n: int, sizes: tuple[int, ...], coeffs: tuple[int, ...]
 ) -> tuple[tuple[float, tuple[int, ...]], ...]:
     """The target-independent part of the mixed-gcd block sum: for each
-    divisor tuple (d_1, ..., d_t) of nonzero weight, in itertools.product
-    order, the pair (float(weight), the m in [1, n] with gcd(a_i*m, n) = d_i
-    for every i, in increasing order).  One pass over m groups each m by its
-    gcd tuple."""
-    weights: list[dict[int, Fraction]] = []
+    divisor tuple (d_1, ..., d_t) with every j_i = k_i*d_i/n integral, in
+    itertools.product order, the pair (float(weight), the m in [1, n] with
+    gcd(a_i*m, n) = d_i for every i, in increasing order).  The weight is
+    the integer prod_i C(d_i + j_i - 1, j_i) >= 1, correctly rounded by
+    float().  One pass over m groups each m by its gcd tuple."""
+    weights: list[dict[int, int]] = []
     for ki in sizes:
-        per_block: dict[int, Fraction] = {}
+        per_block: dict[int, int] = {}
         for d in arith.divisors(n):
             if (ki * d) % n:
                 continue
             j = ki * d // n
-            per_block[d] = Fraction(d, d + j) * math.comb(d + j, j)
+            per_block[d] = math.comb(d + j - 1, j)
         weights.append(per_block)
     orbits: dict[tuple[int, ...], list[int]] = {}
     for m in range(1, n + 1):
@@ -400,8 +402,6 @@ def _block_orbit_plan(
     plan = []
     for combo in itertools.product(*(sorted(w) for w in weights)):
         weight = math.prod(weights[i][d] for i, d in enumerate(combo))
-        if weight == 0:
-            continue
         plan.append((float(weight), tuple(orbits.get(combo, ()))))
     return tuple(plan)
 
@@ -420,10 +420,11 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     (_blocks_common_gcd) in plain integers, its terms built once per
     (n, sizes, f).  Otherwise evaluates the general form: for every divisor
     tuple (d_1, ..., d_t) with integral j_i = k_i*d_i/n, the weight
-    prod_i d_i/(d_i+j_i) * C(d_i+j_i, j_i) multiplies the exponential sum
-    over m in [1, n] with gcd(a_i*m, n) = d_i for every i, and the total is
-    divided by n and rounded with a recorded residual.  Divisor tuples with
-    a fractional j_i have weight 0 and are skipped.
+    prod_i d_i/(d_i+j_i) * C(d_i+j_i, j_i) = prod_i C(d_i+j_i-1, j_i), an
+    integer, multiplies the exponential sum over m in [1, n] with
+    gcd(a_i*m, n) = d_i for every i, and the total is divided by n and
+    rounded with a recorded residual.  Divisor tuples with a fractional j_i
+    have weight 0 and are skipped.
 
     Only the roots e(-b*m/n) depend on the target.  The weights and the m of
     each divisor tuple are built once per (n, sizes, coefficients) and the

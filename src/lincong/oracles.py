@@ -180,31 +180,40 @@ def _value_dp(n: int, width: int, coeffs) -> int:
 
     A state is the nonempty bit mask of the positions that already hold a
     value above w, with the packed histogram of a1*x1+...+ak*xk over those
-    positions.  At each w one free position of each state takes w; the
-    states are read from a snapshot, so no tuple takes w twice.  Each
-    one-position state 1 << i starts from the point mass: at each w it
-    gains a single 1 at a_i*w mod n.  The moves of each mask are listed
-    once per call.
+    positions, in a list indexed by mask and updated in place.  At each w
+    one free position of each state takes w, larger states first, so a mask
+    that gains a position at w has had its turn; the one-position states
+    1 << i are seeded after the transfers, each with a single 1 at a_i*w
+    mod n.  A state of s positions that takes w still needs k - s - 1 of
+    the w values below it, so only s >= k - w - 1 transfers, a seed only
+    while w >= k - 1, and a state of s > n - 1 - w positions is still empty.
+    The rest are dead (22950 of 28060 transfers at n = k = 10).
 
     A transfer by t rotates the histogram by t slots and adds it: one shift
-    and one add over n slots, O(k*2^k*n) of them.  A state with j positions
-    counts j-arrangements of the values above w, at most P(n, j) <= P(n, k)
-    of them."""
+    and one add over n slots, at most k*2^(k-1) per value.  A state with j
+    positions counts j-arrangements of the values above w, at most
+    P(n, j) <= P(n, k) of them."""
     k = len(coeffs)
     bits = 8 * width * n
     low = (1 << bits) - 1
-    moves = {m: [(i, m | 1 << i) for i in range(k) if not m >> i & 1] for m in range(1, 1 << k)}
-    states: dict[int, int] = {}
+    # by_size[s]: the masks of s < k positions, each with its moves
+    by_size = [[] for _ in range(k)]
+    for mask in range(1, (1 << k) - 1):
+        moves = [(i, mask | 1 << i) for i in range(k) if not mask >> i & 1]
+        by_size[k - len(moves)].append((mask, moves))
+    states = [0] * (1 << k)
     for w in range(n - 1, -1, -1):
         shifts = [a * w % n * 8 * width for a in coeffs]
-        for mask, hist in list(states.items()):
-            for i, grown in moves[mask]:
-                t = shifts[i]
-                states[grown] = states.get(grown, 0) + (((hist << t) & low) | (hist >> (bits - t)))
-        # seeded after the transfers, so no other position joins it at w
-        for i, t in enumerate(shifts):
-            states[1 << i] = states.get(1 << i, 0) + (1 << t)
-    return states[(1 << k) - 1]
+        for s in range(min(k - 1, n - 1 - w), max(0, k - w - 2), -1):
+            for mask, moves in by_size[s]:
+                hist = states[mask]
+                for i, grown in moves:
+                    t = shifts[i]
+                    states[grown] += ((hist << t) & low) | (hist >> (bits - t))
+        if w >= k - 1:
+            for i, t in enumerate(shifts):
+                states[1 << i] += 1 << t
+    return states[-1]
 
 
 def _chain(n: int, width: int, coeffs, values: int, offset: int = 0) -> int:

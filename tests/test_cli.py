@@ -296,6 +296,28 @@ def test_verify_csv_matches_json(mode, capsys):
     assert summary_line == "# summary " + " ".join(f"{k}={v}" for k, v in summary.items())
 
 
+def test_row_timings_are_whole_nanoseconds(capsys):
+    # every wall_time_s is a perf_counter_ns() difference divided by 1e9
+    def whole_ns(text):
+        x = float(text)
+        return x >= 0 and x == round(x * 1e9) / 1e9
+
+    timings = []
+    for mode in cli.MODES:
+        argv = tiny_verify(mode)
+        _, out, _ = run_cli(argv, capsys)
+        timings += [rec["wall_time_s"] for rec in json_lines(out)[:-1] if rec["status"] == "ok"]
+        _, out, _ = run_cli(argv + ["--format", "csv"], capsys)
+        rows = list(csv.DictReader(io.StringIO(out.rsplit("# summary", 1)[0])))
+        timings += [row["wall_time_s"] for row in rows if row["status"] == "ok"]
+    for count_args in (["--mode", "all", "-n", "6", "-a", "2,4", "-b", "4"],
+                       ["--mode", "strict", "-n", "5", "-k", "2", "-a", "1", "-b", "0"]):
+        _, out, _ = run_cli(["count", *count_args], capsys)
+        timings += [rec["wall_time_s"] for rec in json_lines(out)]
+    assert len(timings) > 100
+    assert all(whole_ns(x) for x in timings), [x for x in timings if not whole_ns(x)][:5]
+
+
 # One small instance per mode, with the verify flags whose grid contains it.
 COUNT_IN_VERIFY = {
     "all": (["-n", "6", "-a", "2,4", "-b", "4"], ["--n-max", "6", "--k-max", "2"]),
@@ -354,7 +376,8 @@ def test_cli_import_leaves_out_pool_and_dataclasses(cli_env):
                           env=cli_env, check=True)
     added = set(proc.stdout.split())
     assert "lincong.cli" in added
-    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect")
+    heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect",
+             "fractions", "decimal", "numbers")
     assert not added & set(heavy), sorted(added & set(heavy))
 
 

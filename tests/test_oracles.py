@@ -111,6 +111,21 @@ def test_value_dp_small_k_against_reference():
                 assert got == reference_histogram(n, coeffs, restriction), (n, coeffs, restriction)
 
 
+def test_distinct_dp_near_k_equals_n():
+    # k close to n: most states of the distinct DP are dead there and skipped
+    rng = random.Random(15)
+    for n, k in ((7, 7), (8, 6), (8, 7), (8, 8)):
+        coeffs = tuple(rng.randrange(n) for _ in range(k))
+        want = [0] * n
+        for tup in itertools.permutations(range(n), k):
+            want[sum(a * x for a, x in zip(coeffs, tup)) % n] += 1
+        got = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "distinct")
+        assert got == want, (n, coeffs)
+    coeffs = tuple(rng.randrange(10) for _ in range(10))
+    hist = oracles.oracle_histogram(CongruenceSpec(10, coeffs, 0), "distinct")
+    assert sum(hist) == math.factorial(10), coeffs
+
+
 def test_strict_order_unequal_coefficients_against_reference():
     # seeded coefficient tuples past the exhaustive grid above, up to k = n
     rng = random.Random(12)
@@ -187,9 +202,10 @@ def test_oracle_matches_lehmer():
     for n in range(1, 31):
         for k in (1, 2, 3):
             for coeffs in itertools.combinations_with_replacement(range(n), k):
-                hist = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "all")
+                spec = CongruenceSpec(n, coeffs, 0)
+                hist = oracles.oracle_histogram(spec, "all")
                 for b in range(n):
-                    expected = formulas.lehmer_count(CongruenceSpec(n, coeffs, b))
+                    expected = formulas.lehmer_count(spec.with_target(b))
                     assert hist[b] == expected.count, (n, coeffs, b)
 
 
