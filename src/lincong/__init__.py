@@ -3,10 +3,11 @@
 Closed-form counters for square-restricted, strictly ordered, block-ordered
 and distinct solutions of a1*x1 + ... + ak*xk = b (mod n), built on Ramanujan
 sums and the real Gauss sum modulo odd prime powers, together with the
-exact histogram oracles that verify them.  The package holds only what the
-counters, the oracles and the CLI call; the lemmas behind the closed forms
-are checked against literal sums, and the oracles against brute force and a
-generating-function ring, in the test suite.
+exact histogram oracles that verify them.  count(spec, restriction) is the
+counters' front door, as oracle_histogram(spec, restriction) the oracles'.
+The package holds only what the counters, the oracles and the CLI call; the
+lemmas behind the closed forms are checked against literal sums, and the
+oracles against brute force and a generating-function ring, in the test suite.
 """
 
 from .arith import (
@@ -30,6 +31,7 @@ from .characters import (
 )
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .formulas import (
+    count,
     distinct_count_equal_coeffs,
     distinct_count_gcd_condition,
     lehmer_count,
@@ -58,6 +60,7 @@ __all__ = [
     "Factorization",
     "OracleBudget",
     "SquareProfile",
+    "count",
     "distinct_count_equal_coeffs",
     "distinct_count_gcd_condition",
     "divisors",

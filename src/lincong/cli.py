@@ -1,18 +1,21 @@
-"""Command-line front end: compute any counter, verify formulas against
-oracles over sweeps, and benchmark formula vs oracle evaluation.
+"""Command-line front end: compute any counter, and verify formulas against
+oracles over sweeps, timing both.
 
 One table, MODE_TABLE, holds what the commands know about each mode: how
-count reads its arguments, the counter, the oracle histogram over all
-targets, the record fields, the verify and bench grids, and the golden
-values selftest checks.  count, verify, bench and the per-mode selftest
-checks are each one loop over it.  Each command takes only its own flags.
+count reads its arguments, the restriction of oracles.RESTRICTIONS it
+counts, the record fields, the verify grid and the golden values selftest
+checks.  count, verify and selftest reach every restriction through the
+front door, formulas.counter, and oracles.oracle_histogram.  ramanujan
+(C_n(b), which may be negative) is no restriction: it keeps its own counter
+and the divisor-form oracle.  Each command takes only its own flags.
 
 Exit codes: 0 success, 1 selftest/verify mismatch, 2 usage error,
 3 internal-consistency failure.  Records are JSON lines by default or CSV
-with a single header; all output is deterministic for fixed flags (sweep
-rows come out in lexicographic grid order, whatever --jobs is).  The
-process pool behind verify --jobs is imported on first use: it pulls in
-multiprocessing, which would double the start-up time of every command.
+with a single header; all output apart from timings is deterministic for
+fixed flags (sweep rows come out in lexicographic grid order, whatever
+--jobs is).  The process pool behind verify --jobs is imported on first
+use: it pulls in multiprocessing, which would double the start-up time of
+every command.  count prints the exact count however many digits it has.
 
 A verify case is one oracle histogram checked at every target b.  Its rows
 share mode, n and k, a or blocks, so a case carries those fields once and
@@ -23,6 +26,8 @@ as one record per row.
 wall_time_s (a row's counter call, or the whole count command) is read
 with time.perf_counter_ns() and written as ns / 1e9: whole nanoseconds,
 whose short repr formats in half the time of a perf_counter() difference's.
+verify's summary gives formula_s, the sum of the rows' wall_time_s, against
+oracle_s, the time its oracle histograms took, read the same way per case.
 """
 
 from __future__ import annotations
@@ -78,9 +83,8 @@ def _budget(args) -> int:
 
 
 def _moduli(args, default) -> tuple[int, ...] | range:
-    """The moduli of a verify or bench grid: --n-list when given, else
-    1..--n-max when given, else the mode's ``default``.  Every grid starts
-    here, so --k-max, --jobs and --budget are checked here too."""
+    """The moduli of a verify grid: --n-list, else 1..--n-max, else the
+    mode's ``default``; --k-max, --jobs and --budget are checked here too."""
     if args.n_list is not None:
         ns = _parse_ints(args.n_list)
     elif args.n_max is not None:
@@ -89,7 +93,7 @@ def _moduli(args, default) -> tuple[int, ...] | range:
         ns = default
     if any(n < 1 for n in ns):
         raise UsageError(f"moduli must be >= 1, got {args.n_list or args.n_max}")
-    _at_least_one(args, "k_max", "jobs", "budget")  # bench has no --jobs
+    _at_least_one(args, "k_max", "jobs", "budget")
     return ns
 
 
@@ -102,17 +106,10 @@ def _nk(ns, k_max: int):
 # For the coefficient modes (all, square, strict, distinct) they are
 # (k, coeffs): the coefficients as given when k is None, else k copies of
 # the single coefficient coeffs[0].  blocks takes the block tuple and
-# ramanujan None.  A mode's ``instance`` builds what its counter and oracle
-# read, once per case: the spec at b = 0, from which the counter derives
-# each target's spec without checking the coefficients again, or the
-# modulus alone where the counter needs no spec (strict, ramanujan).
-# Counters and oracles are looked up on their modules at call time, so a
-# patched or traced function is the one that runs.
+# ramanujan None.  _instance builds the instance once per case, at b = 0.
 
 
-class _Signed(NamedTuple):
-    """A formula value that may be negative (a Ramanujan sum)."""
-
+class _Signed(NamedTuple):  # a formula value that may be negative (a Ramanujan sum)
     count: int
     method: str = FORMULA
     residual: float = 0.0
@@ -121,12 +118,9 @@ class _Signed(NamedTuple):
 class _Mode(NamedTuple):
     parse: Callable  # count's arguments -> params; raises UsageError
     fields: Callable  # (n, params, b) -> record fields k, a or blocks, and b last
-    instance: Callable  # (n, params) -> what count and oracle read, built once per case
-    count: Callable  # (instance, params, b, budget) -> CountResult
-    oracle: Callable  # (instance, params, OracleBudget) -> count for every b
+    restriction: str | None  # a name of oracles.RESTRICTIONS; None for ramanujan
     verify_grid: Callable  # args -> [(n, params)] in lexicographic order
     golden: tuple  # (n, params, b, count) cases that selftest checks
-    bench_grid: Callable | None = None  # args -> [(n, k, params)], at b = 1
     count_budget: bool = False  # count's counter reads --budget (an oracle fallback)
 
 
@@ -182,21 +176,23 @@ def _blocks_fields(n, blocks, b):
     return {"k": sum(size for size, _ in blocks), "blocks": label, "b": b % n}
 
 
-def _coeff_spec(n, params):
-    k, coeffs = params
-    return CongruenceSpec(n, coeffs if k is None else coeffs * k, 0)
+def _instance(mode: _Mode, n: int, params, budget: OracleBudget) -> tuple:
+    """The instance at b = 0 (a BlockSpec, a CongruenceSpec, or for
+    ramanujan the modulus alone) and its counter as a function of b."""
+    if mode.restriction is None:
+        return n, lambda b: _Signed(arith.ramanujan_sum(n, b))
+    if mode.restriction == "blocks":
+        spec = BlockSpec(n, params, 0)
+    else:
+        k, coeffs = params
+        spec = CongruenceSpec(n, coeffs if k is None else coeffs * k, 0)
+    return spec, formulas.counter(spec, mode.restriction, budget)
 
 
-def _count_distinct(spec, params, b, _budget):
-    k, coeffs = params
-    if k is None:
-        return formulas.distinct_count_gcd_condition(spec.with_target(b))
-    return formulas.distinct_count_equal_coeffs(spec.n, k, coeffs[0], b)
-
-
-def _histogram(restriction: str) -> Callable:
-    """The oracle histogram for ``restriction`` on the case's spec."""
-    return lambda spec, _params, budget: oracles.oracle_histogram(spec, restriction, budget)
+def ramanujan_divisor_form(n: int) -> list[int]:
+    """C_n(b) for every b in [0, n): sum of mu(n/d)*d over d | gcd(n, b)."""
+    return [sum(arith.moebius(n // d) * d for d in arith.divisors(math.gcd(n, b)))
+            for b in range(n)]
 
 
 def _coeff_grid(ns, k_max: int, values: Callable):
@@ -209,10 +205,8 @@ def _coeff_grid(ns, k_max: int, values: Callable):
 
 def _blocks_grid(args):
     pairs = [(s, c) for s in range(1, min(args.k_max or 3, 3) + 1) for c in (1, 2, 3)]
-    for n in _moduli(args, range(1, 13)):
-        for t in (1, 2, 3):
-            for blocks in itertools.combinations_with_replacement(pairs, t):
-                yield n, blocks
+    blockings = [bl for t in (1, 2, 3) for bl in itertools.combinations_with_replacement(pairs, t)]
+    return itertools.product(_moduli(args, range(1, 13)), blockings)
 
 
 def _ramanujan_grid(args):
@@ -224,75 +218,53 @@ def _ramanujan_grid(args):
     return ((n, None) for n in _moduli(args, range(1, 201)))
 
 
-def _strict_bench(args):
-    n_list = _moduli(args, (100, 1000, 10000))
-    k_list = (5, 10) if args.k_max is None else tuple(range(5, args.k_max + 1, 5)) or (args.k_max,)
-    return [(n, k, (k, (1,))) for n in n_list for k in k_list]
-
-
 MODE_TABLE = {
     "all": _Mode(
         parse=_parse_coeffs,
         fields=_coeff_fields,
-        instance=_coeff_spec,
-        count=lambda spec, _p, b, _budget: formulas.lehmer_count(spec.with_target(b)),
-        oracle=_histogram("all"),
+        restriction="all",
         verify_grid=lambda args: _coeff_grid(_moduli(args, range(1, 13)), args.k_max or 3, range),
         golden=((27, (None, (1, 1)), 1, 27), (4, (None, (2,)), 3, 0), (6, (None, (2, 4)), 4, 12)),
     ),
     "square": _Mode(
         parse=_parse_coeffs,
         fields=_coeff_fields,
-        instance=_coeff_spec,
-        count=lambda spec, _p, b, budget: formulas.square_count(
-            spec.with_target(b), OracleBudget(budget)),
-        oracle=_histogram("square"),
+        restriction="square",
         verify_grid=lambda args: _coeff_grid(
             _moduli(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
         ),
-        bench_grid=lambda args: [(n, k, (None, (1,) * k)) for n in _moduli(args, (27, 81, 243))
-                                 for k in range(2, (args.k_max or 3) + 1)],
         golden=((27, (None, (1, 1)), 1, 4), (9, (None, (1, 1)), 3, 0), (9, (None, (1, 1)), 2, 3)),
         count_budget=True,  # even n falls back to the oracle
     ),
     "strict": _Mode(
         parse=_parse_strict,
         fields=_coeff_fields,
-        # the counter reads n, k and a: no spec of k coefficients for count
-        instance=lambda n, _params: n,
-        count=lambda n, p, b, _budget: formulas.strict_order_count(n, p[0], p[1][0], b),
-        oracle=lambda n, p, budget: oracles.oracle_histogram(
-            _coeff_spec(n, p), "strict-order", budget),
+        restriction="strict-order",
         verify_grid=lambda args: (
             (n, (k, (a,)))
             for n, k in _nk(_moduli(args, range(1, 21)), args.k_max or 4) for a in range(n)
         ),
-        bench_grid=_strict_bench,
         golden=((5, (2, (1,)), 0, 2), (12, (1, (3,)), 6, 3)),
     ),
     "distinct": _Mode(
         parse=_parse_distinct,
         fields=_coeff_fields,
-        instance=_coeff_spec,
-        count=_count_distinct,
-        oracle=_histogram("distinct"),
+        restriction="distinct",
         verify_grid=lambda args: (
             (n, params)
             for n, params in _coeff_grid(_moduli(args, range(1, 16)), args.k_max or 4, range)
             if formulas.subset_sum_obstruction(n, params[1]) is None
         ),
+        # the last has equal coefficients that fail the subset-sum hypothesis
         golden=((5, (2, (1,)), 0, 4), (5, (2, (1,)), 1, 4), (9, (3, (1,)), 0, 60),
                 (5, (None, (1, 4)), 0, 0), (7, (None, (1, 1)), 1, 6),
-                (5, (None, (1, 2, 2)), 0, 20)),
+                (5, (None, (1, 2, 2)), 0, 20), (6, (None, (2, 2)), 0, 10)),
     ),
     "blocks": _Mode(
         parse=_parse_blocks,
         fields=_blocks_fields,
-        instance=lambda n, blocks: BlockSpec(n, blocks, 0),
-        count=lambda spec, _blocks, b, _budget: formulas.order_blocks_count(spec.with_target(b)),
-        oracle=_histogram("blocks"),
+        restriction="blocks",
         verify_grid=_blocks_grid,
-        bench_grid=lambda args: [(n, 4, ((2, 2), (2, 3))) for n in _moduli(args, (8, 12))],
         # the last three have blocks of size 1: Lehmer's unrestricted counts
         golden=((6, ((2, 2), (2, 3)), 5, 63), (4, ((2, 1), (2, 3)), 1, 24),
                 (5, ((1, 1), (1, 2), (1, 3)), 4, 25), (6, ((1, 2), (1, 4)), 2, 12),
@@ -301,13 +273,7 @@ MODE_TABLE = {
     "ramanujan": _Mode(
         parse=_parse_ramanujan,
         fields=lambda n, _params, b: {"b": b},
-        instance=lambda n, _params: n,
-        count=lambda n, _params, b, _budget: _Signed(arith.ramanujan_sum(n, b)),
-        # the divisor form: exact, and apart from the counter's Hoelder form
-        oracle=lambda n, _params, _budget: [
-            sum(arith.moebius(n // d) * d for d in arith.divisors(math.gcd(n, b)))
-            for b in range(n)
-        ],
+        restriction=None,
         verify_grid=_ramanujan_grid,
         golden=((9, None, 3, -3), (6, None, 1, 1)),
     ),
@@ -319,27 +285,23 @@ MODES = tuple(MODE_TABLE)
 def build_parser() -> _Parser:
     parser = _Parser(prog="lincong", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-    count, verify, bench = (sub.add_parser(name) for name in ("count", "verify", "bench"))
+    count, verify = (sub.add_parser(name) for name in ("count", "verify"))
     sub.add_parser("selftest")
     # each command registers only the flags it reads, so a stray one is a usage error
-    for p in (count, verify, bench):
+    for p in (count, verify):
         p.add_argument("--mode", choices=MODES, default="all")
-        p.add_argument("--budget", type=int,
-                       help="most tuples an oracle histogram may count per case, charged "
-                            f"before it is built (default {OracleBudget.max_states}); also bounds "
-                            "count's oracle fallback")
+        p.add_argument("--budget", type=int, help="most tuples an oracle may count per case or "
+                       f"count's fallback, charged first (default {OracleBudget.max_states})")
+        p.add_argument("--format", choices=("json", "csv"), default="json")
     count.add_argument("-n", type=int, help="modulus")
     count.add_argument("-k", type=int, help="number of variables")
     count.add_argument("-a", type=str, help="comma-separated coefficients, e.g. 1,1,3")
     count.add_argument("-b", type=int, help="target residue")
     count.add_argument("--blocks", type=str, help="size:coeff pairs, e.g. 2:2,2:3")
-    for p in (verify, bench):
-        p.add_argument("--n-max", type=int, help="sweep bound on the modulus")
-        p.add_argument("--n-list", type=str,
-                       help="explicit comma-separated moduli; wins over --n-max")
-        p.add_argument("--k-max", type=int, help="sweep bound on k")
-    for p in (count, verify):
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+    verify.add_argument("--n-max", type=int, help="sweep bound on the modulus")
+    verify.add_argument("--n-list", type=str,
+                        help="explicit comma-separated moduli; wins over --n-max")
+    verify.add_argument("--k-max", type=int, help="sweep bound on k")
     verify.add_argument("--jobs", type=int, default=1, help="worker processes for sweeps")
     return parser
 
@@ -403,14 +365,25 @@ class Emitter:
 
     def summary(self, rec: dict) -> None:
         if self.fmt == "json":
-            print(json.dumps(rec), file=self.stream)
-        else:
-            body = " ".join(f"{key}={value}" for key, value in rec.items())
-            print(f"# summary {body}", file=self.stream)
+            return self.record(rec)
+        body = " ".join(f"{key}={value}" for key, value in rec.items())
+        print(f"# summary {body}", file=self.stream)
 
 
 # ----------------------------------------------------------------------
 # count
+
+
+def _unlimited_digits(fn, *args):
+    """fn(*args) with int -> str uncapped, as an exact count may need."""
+    cap = getattr(sys, "get_int_max_str_digits", int)()  # 4300 from 3.11 and 3.10.7; 0 none
+    if not cap:
+        return fn(*args)
+    sys.set_int_max_str_digits(0)
+    try:
+        return fn(*args)
+    finally:
+        sys.set_int_max_str_digits(cap)
 
 
 def cmd_count(args) -> int:
@@ -422,17 +395,18 @@ def cmd_count(args) -> int:
         raise UsageError(f"mode {args.mode} takes no --budget")
     t0 = time.perf_counter_ns()
     params = mode.parse(args)
+    _, count_at = _instance(mode, args.n, params, OracleBudget(_budget(args)))
     rec = {"mode": args.mode, "n": args.n, **mode.fields(args.n, params, args.b)}
     if args.k is not None and args.k != rec.get("k"):
         if "k" not in rec:
             raise UsageError(f"mode {args.mode} takes no -k")
         raise UsageError(f"-k {args.k} disagrees with the instance, which has k = {rec['k']}")
-    result = mode.count(mode.instance(args.n, params), params, args.b, _budget(args))
+    result = count_at(args.b)
     if "blocks" in rec:  # count has always printed the block label after b
         rec["blocks"] = rec.pop("blocks")
     rec.update(count=result.count, method=result.method, residual=result.residual)
     rec["wall_time_s"] = (time.perf_counter_ns() - t0) / 1e9
-    Emitter(args.format).record(rec)
+    _unlimited_digits(Emitter(args.format).record, rec)
     return 0
 
 
@@ -440,37 +414,44 @@ def cmd_count(args) -> int:
 # verify
 
 
-def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None]:
+def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int]:
     """Run one verify case (mode name, n, params, budget): one oracle
     histogram checks the counter at every target b.  Returns the fields all
-    rows share (mode, n, and k, a or blocks) and one tuple (b, count,
-    method, residual, wall_time_s, oracle_count, match) per target, as
-    Emitter.case takes them; a case over budget returns its skip record and
-    None."""
-    name, n, params, budget = case
+    rows share (mode, n, and k, a or blocks), one tuple (b, count, method,
+    residual, wall_time_s, oracle_count, match) per target as Emitter.case
+    takes them, and the nanoseconds of the counter calls and of the oracle
+    (a case over budget: its skip record, None, 0 and 0)."""
+    name, n, params, max_states = case
     mode = MODE_TABLE[name]
     fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
     del fixed["b"]  # the last field, so the rows' own fields follow the shared ones
-    rows = []
-    instance = mode.instance(n, params)
+    budget = OracleBudget(max_states)
+    spec, count_at = _instance(mode, n, params, budget)
+    rows, formula_ns = [], 0
     try:
-        hist = mode.oracle(instance, params, OracleBudget(budget))
+        t0 = time.perf_counter_ns()
+        hist = (ramanujan_divisor_form(n) if mode.restriction is None
+                else oracles.oracle_histogram(spec, mode.restriction, budget))
+        oracle_ns = time.perf_counter_ns() - t0
         for b in range(n):
             t0 = time.perf_counter_ns()
-            res = mode.count(instance, params, b, budget)
-            dt = (time.perf_counter_ns() - t0) / 1e9
-            rows.append((b, res.count, res.method, res.residual, dt, hist[b],
+            res = count_at(b)
+            ns = time.perf_counter_ns() - t0
+            formula_ns += ns
+            rows.append((b, res.count, res.method, res.residual, ns / 1e9, hist[b],
                          res.count == hist[b]))
     except BudgetExceededError as exc:
-        return {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}, None
-    return fixed, rows
+        return {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}, None, 0, 0
+    return fixed, rows, formula_ns, oracle_ns
 
 
 def cmd_verify(args) -> int:
-    grid = MODE_TABLE[args.mode].verify_grid(args)
-    cases = [(args.mode, n, params, _budget(args)) for n, params in grid]
+    grid, budget = MODE_TABLE[args.mode].verify_grid(args), _budget(args)
+    # built as they run, so the distinct grid's subset-sum check is still
+    # cached when its case's counter asks again
+    cases = ((args.mode, n, params, budget) for n, params in grid)
     emitter = Emitter(args.format)
-    total_rows = mismatches = skipped = 0
+    total_rows = mismatches = skipped = formula_ns = oracle_ns = 0
     max_residual = 0.0
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
@@ -478,7 +459,7 @@ def cmd_verify(args) -> int:
             outcomes = list(pool.map(_case_rows, cases, chunksize=8))
     else:
         outcomes = map(_case_rows, cases)
-    for fixed, rows in outcomes:
+    for fixed, rows, case_formula_ns, case_oracle_ns in outcomes:
         if rows is None:
             emitter.record(fixed)
             skipped += 1
@@ -487,60 +468,23 @@ def cmd_verify(args) -> int:
         total_rows += len(rows)
         mismatches += sum(not row[6] for row in rows)
         max_residual = max(max_residual, *(row[3] for row in rows))
+        formula_ns += case_formula_ns
+        oracle_ns += case_oracle_ns
     emitter.summary({"cases": total_rows, "mismatches": mismatches, "skipped": skipped,
-                     "max_residual": max_residual})
+                     "max_residual": max_residual, "formula_s": formula_ns / 1e9,
+                     "oracle_s": oracle_ns / 1e9})
     return 0 if mismatches == 0 else 1
-
-
-# ----------------------------------------------------------------------
-# bench
-
-
-def _timed(fn, *args) -> float | None:
-    """Seconds one call of fn takes, or None when it exceeds its budget."""
-    t0 = time.perf_counter()
-    try:
-        fn(*args)
-    except BudgetExceededError:
-        return None
-    return time.perf_counter() - t0
-
-
-def _fixed(value: float | None, digits: int) -> str:
-    return "" if value is None else f"{value:.{digits}f}"
-
-
-def cmd_bench(args) -> int:
-    mode = MODE_TABLE[args.mode]
-    if mode.bench_grid is None:
-        raise UsageError(f"mode {args.mode!r} has no benchmark grid")
-    grid = mode.bench_grid(args)
-    writer = csv.writer(sys.stdout)
-    writer.writerow(["n", "k", "mode", "t_formula_s", "t_oracle_s", "speedup"])
-    budget = _budget(args)
-    for n, k, params in grid:
-        instance = mode.instance(n, params)
-        t_formula = _timed(mode.count, instance, params, 1, budget)
-        t_oracle = _timed(mode.oracle, instance, params, OracleBudget(budget))
-        speedup = None
-        if t_formula is not None and t_oracle is not None:
-            speedup = t_oracle / t_formula if t_formula > 0 else math.inf
-        times = (_fixed(t_formula, 6), _fixed(t_oracle, 6), _fixed(speedup, 2))
-        writer.writerow([n, k, args.mode, *times])
-    return 0
 
 
 # ----------------------------------------------------------------------
 # selftest
 
 
-def _check_golden(mode: _Mode) -> None:
-    """The counter and the oracle of ``mode`` give its golden values."""
-    for n, params, b, expected in mode.golden:
-        instance = mode.instance(n, params)
-        values = [mode.count(instance, params, b, OracleBudget.max_states).count,
-                  mode.oracle(instance, params, OracleBudget())[b]]
-        assert values == [expected] * 2, (n, params, b, values)
+def _check_golden(name: str) -> None:
+    """The counter and the oracle of mode ``name`` give its golden values."""
+    for n, params, b, expected in MODE_TABLE[name].golden:
+        row = _case_rows((name, n, params, OracleBudget.max_states))[1][b]
+        assert row[1] == row[5] == expected, (n, params, row)
 
 
 def _selftest_checks():
@@ -575,8 +519,7 @@ def _selftest_checks():
         ("gauss-closed-forms", check_gauss_closed),
         ("square-membership-and-profiles", check_square_membership),
         ("square-witnesses", check_square_witnesses),
-        *((f"{name}-golden-counts", partial(_check_golden, entry))
-          for name, entry in MODE_TABLE.items()),
+        *((f"{name}-golden-counts", partial(_check_golden, name)) for name in MODES),
     ]
 
 
@@ -600,7 +543,7 @@ def run(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        commands = {"count": cmd_count, "verify": cmd_verify, "bench": cmd_bench}
+        commands = {"count": cmd_count, "verify": cmd_verify}
         return commands.get(args.command, cmd_selftest)(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

@@ -24,6 +24,12 @@ coefficients, and one keyed on the prime power alone would keep serving
 terms computed before a patched epsilon or Gauss sum, which the self-test's
 mutation check relies on seeing.  Every counter is verified against the
 independent oracle histograms in the test suite.
+
+count(spec, restriction) is the front door over oracles.RESTRICTIONS, and
+counter(spec, restriction) the same as a function of b, routed once per
+instance by one table, _ROUTES: all, square and blocks to their counters;
+strict-order, for equal coefficients only, to the divisor sum; distinct
+to k! times it for equal coefficients, else to the gcd-condition form.
 """
 
 from __future__ import annotations
@@ -355,26 +361,20 @@ def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
 
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _common_block_terms(n: int, sizes: tuple[int, ...], f: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (d, f * prod_i C(n/d + k_i/d - 1, k_i/d)) for
-    d | gcd(n/f, k_1, ..., k_t)."""
+    """The terms of the single divisor sum for blocks whose coefficients
+    share gcd f with n,
+
+        (f/n) * sum over d | gcd(n/f, k1, ..., kt) of
+            prod_i C(n/d + ki/d - 1, ki/d) * C_d(b/f),
+
+    0 when f does not divide b: the pairs (d, f * prod_i C(...)), which
+    _ramanujan_total evaluates at b with the reduced target b/f, as for strict
+    order.  Each binomial is the paper's n/(n+ki) * C((n+ki)/d, ki/d), with
+    the prefactor folded in."""
     return tuple(
         (d, f * math.prod(math.comb(n // d + ki // d - 1, ki // d) for ki in sizes))
         for d in arith.divisors(math.gcd(n // f, *sizes))
     )
-
-
-def _blocks_common_gcd(n: int, sizes: tuple[int, ...], f: int, b: int) -> CountResult:
-    """Single divisor sum for blocks whose coefficients share gcd f with n:
-
-        (f/n) * sum over d | gcd(n/f, k1, ..., kt) of
-            prod_i C(n/d + ki/d - 1, ki/d) * C_d(b/f)
-
-    in plain integers, 0 when f does not divide b.  Each binomial is the
-    paper's n/(n+ki) * C((n+ki)/d, ki/d), with the prefactor folded in.  The
-    terms are cached per (n, sizes, f) and, as with the strict counter, the
-    Ramanujan sum takes the reduced target b/f.
-    """
-    return CountResult(_ramanujan_total(n, f, b, _common_block_terms(n, sizes, f)), FORMULA)
 
 
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
@@ -417,7 +417,7 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     block.
 
     When all gcd(a_i, n) equal one f, uses the single divisor sum
-    (_blocks_common_gcd) in plain integers, its terms built once per
+    (_common_block_terms) in plain integers, its terms built once per
     (n, sizes, f).  Otherwise evaluates the general form: for every divisor
     tuple (d_1, ..., d_t) with integral j_i = k_i*d_i/n, the weight
     prod_i d_i/(d_i+j_i) * C(d_i+j_i, j_i) = prod_i C(d_i+j_i-1, j_i), an
@@ -437,7 +437,8 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     sizes, coeffs = spec.sizes, spec.coeffs
     gcds = [math.gcd(a, n) for a in coeffs]
     if len(set(gcds)) == 1:
-        return _blocks_common_gcd(n, sizes, gcds[0], b)
+        f = gcds[0]
+        return CountResult(_ramanujan_total(n, f, b, _common_block_terms(n, sizes, f)), FORMULA)
     roots = _roots_of_unity(n)
     acc = 0j
     for weight, orbit in _block_orbit_plan(n, sizes, coeffs):
@@ -449,3 +450,54 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     if value < 0:
         raise ConsistencyError(f"negative block count {value}")
     return CountResult(value, FORMULA, resid)
+
+
+# ----------------------------------------------------------------------
+# The front door.  Each route reads its counter when it runs, so a patched
+# or traced counter is the one called.
+
+
+def _per_target(counter, spec, max_states=None):
+    """counter(spec at b), and an OracleBudget(max_states) when given."""
+    if max_states is None:
+        return lambda b: counter(spec.with_target(b))
+    return lambda b: counter(spec.with_target(b), OracleBudget(max_states))
+
+
+def _shared(counter, spec, otherwise):
+    """counter(n, k, a, b) as a function of b when every coefficient is a,
+    else _per_target(otherwise, spec), or DomainError when that is None."""
+    n, k, a = spec.n, spec.k, spec.coeffs[0]
+    if spec.coeffs.count(a) == k:
+        return lambda b: counter(n, k, a, b)
+    if otherwise is None:
+        raise DomainError("strict order has a closed form for equal coefficients only")
+    return _per_target(otherwise, spec)
+
+
+# restriction -> route(spec, OracleBudget) -> the counter as a function of b
+_ROUTES = {
+    "all": lambda spec, _: _per_target(lehmer_count, spec),
+    "square": lambda spec, budget: _per_target(square_count, spec, budget.max_states),
+    "strict-order": lambda spec, _: _shared(strict_order_count, spec, None),
+    "distinct": lambda spec, _: _shared(
+        distinct_count_equal_coeffs, spec, distinct_count_gcd_condition),
+    "blocks": lambda spec, _: _per_target(order_blocks_count, spec),
+}
+
+
+def counter(spec: CongruenceSpec | BlockSpec, restriction: str = "all",
+            budget: OracleBudget | None = None):
+    """The count of ``spec``'s instance under ``restriction`` as a function
+    of the target b.  Square's oracle fallback (even n) charges each target
+    to its own OracleBudget of ``budget``'s size."""
+    route = _ROUTES.get(restriction)
+    if route is None or isinstance(spec, BlockSpec) != (restriction == "blocks"):
+        raise DomainError(f"no restriction {restriction!r} for a {type(spec).__name__}")
+    return route(spec, budget or OracleBudget())
+
+
+def count(spec: CongruenceSpec | BlockSpec, restriction: str = "all",
+          budget: OracleBudget | None = None) -> CountResult:
+    """The exact count of ``spec`` under ``restriction``: counter at spec.b."""
+    return counter(spec, restriction, budget)(spec.b)

@@ -11,7 +11,7 @@ from lincong import arith, cli
 from lincong.errors import ConsistencyError, DomainError
 
 # the ramanujan mode's oracle: sum over d | gcd(n, b) of mu(n/d)*d for every b
-divisor_form = cli.MODE_TABLE["ramanujan"].oracle
+divisor_form = cli.ramanujan_divisor_form
 
 
 def unit_sum(n, b):
@@ -126,9 +126,9 @@ def test_round_complex_to_int():
 
 
 def test_ramanujan_direct_examples():
-    assert divisor_form(1, None, None) == [1]
-    assert divisor_form(6, None, None)[1] == 1  # e(1/6)+e(5/6) = 2cos(pi/3)
-    assert divisor_form(9, None, None)[3] == -3
+    assert divisor_form(1) == [1]
+    assert divisor_form(6)[1] == 1  # e(1/6)+e(5/6) = 2cos(pi/3)
+    assert divisor_form(9)[3] == -3
 
 
 def test_ramanujan_holder_examples():
@@ -166,7 +166,7 @@ def test_ramanujan_even_in_b():
 @given(st.integers(1, 120), st.integers(-240, 240))
 def test_ramanujan_integer_valued(n, b):
     # the divisor form, Hoelder's form and the literal sum agree for any input
-    value = divisor_form(n, None, None)[b % n]
+    value = divisor_form(n)[b % n]
     assert value == arith.ramanujan_sum(n, b)
     assert abs(unit_sum(n, b) - value) < 1e-6
 

@@ -1,10 +1,13 @@
 """CLI contract: record formats, exit codes, determinism, sweeps."""
 
 import csv
+import functools
 import io
+import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -53,6 +56,26 @@ def test_count_distinct_and_ramanujan(capsys):
     assert code == 0 and json_lines(out)[0]["count"] == 6
     code, out, _ = run_cli(["count", "--mode", "ramanujan", "-n", "9", "-b", "3"], capsys)
     assert code == 0 and json_lines(out)[0]["count"] == -3
+    # equal coefficients take the divisor sum, subset-sum hypothesis or not
+    code, out, _ = run_cli(["count", "--mode", "distinct", "-n", "6", "-a", "2,2", "-b", "0"], capsys)
+    assert code == 0 and json_lines(out)[0]["count"] == 10
+
+
+def test_count_prints_counts_past_the_int_digit_limit(capsys):
+    # 141174 digits: more than the 4300 that int <-> str allows by default
+    argv = ["count", "--mode", "strict", "-n", "1000003", "-k", "100000", "-a", "1", "-b", "5"]
+    expected = formulas.strict_order_count(1000003, 100000, 1, 5).count
+    head = expected // 10 ** (141174 - 20)  # the leading 20 digits, without int -> str
+    for fmt in ("json", "csv"):
+        code, out, err = run_cli(argv + ["--format", fmt], capsys)
+        assert (code, err) == (0, ""), fmt
+        if fmt == "json":
+            digits = out.split('"count": ', 1)[1].split(",", 1)[0]
+        else:
+            header, row = (line.split(",") for line in out.splitlines())  # no quoted cell
+            digits = row[header.index("count")]
+        assert len(digits) == 141174 and digits.isdigit(), fmt
+        assert digits[:20] == f"{head}" and digits[-20:] == f"{expected % 10**20:020d}", fmt
 
 
 def test_count_csv_format(capsys):
@@ -71,17 +94,18 @@ def test_usage_errors_exit_2(capsys):
     assert run_cli(["count", "--mode", "square", "-n", "27"], capsys)[0] == 2
     assert run_cli(["count", "--mode", "strict", "-n", "5", "-a", "1,2", "-k", "2", "-b", "0"], capsys)[0] == 2
     assert run_cli(["count", "--mode", "blocks", "-n", "6", "--blocks", "2-2", "-b", "1"], capsys)[0] == 2
+    # no bench command: verify's summary times formula against oracle
+    code, out, err = run_cli(["bench", "--mode", "blocks", "--n-list", "8,12"], capsys)
+    assert (code, out) == (2, "") and "invalid choice: 'bench'" in err
     # grid bounds below 1 are refused before any row is printed
     for argv in (
         ["verify", "--mode", "all", "--n-max", "2", "--k-max", "0"],
         ["verify", "--mode", "blocks", "--n-max", "2", "--k-max", "0"],
         ["verify", "--mode", "strict", "--n-max", "3", "--k-max", "-1"],
         ["verify", "--mode", "all", "--n-max", "2", "--jobs", "0"],
-        ["bench", "--mode", "square", "--n-list", "27", "--k-max", "0"],
         # a budget below 1 would refuse every histogram and skip every case
         ["verify", "--mode", "all", "--n-max", "3", "--budget", "-5"],
         ["verify", "--mode", "square", "--n-list", "9", "--budget", "0"],
-        ["bench", "--mode", "square", "--n-list", "27", "--budget", "0"],
         ["count", "--mode", "all", "-n", "6", "-a", "2,4", "-b", "4", "--budget", "0"],
     ):
         code, out, err = run_cli(argv, capsys)
@@ -168,6 +192,42 @@ def test_verify_square_row_schema(capsys):
     assert "oracle_count_alt" not in cli.CSV_COLUMNS
 
 
+def test_verify_summary_times_formula_and_oracle(capsys):
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(["verify", "--mode", "blocks", "--n-list", "8,12", "--k-max", "2",
+                                "--format", fmt], capsys)
+        assert code == 0, fmt
+        if fmt == "json":
+            *rows, summary = json_lines(out)
+            walls = [rec["wall_time_s"] for rec in rows]
+        else:
+            pairs = out.strip().splitlines()[-1].removeprefix("# summary ").split(" ")
+            summary = {key: float(value) for key, value in (p.split("=") for p in pairs)}
+            rows = list(csv.DictReader(io.StringIO(out.rsplit("# summary", 1)[0])))
+            walls = [float(row["wall_time_s"]) for row in rows]
+        assert summary["mismatches"] == 0 and summary["cases"] == len(rows) > 0, fmt
+        assert summary["oracle_s"] > 0 and summary["formula_s"] > 0, fmt
+        assert summary["formula_s"] == pytest.approx(sum(walls), abs=1e-6), fmt
+
+
+def test_verify_distinct_checks_each_tuple_once(capsys, monkeypatch):
+    # cases are built as they run, so the counter finds the grid filter's
+    # subset-sum check still cached; equal coefficients need no check
+    inner = formulas._subset_sum_obstruction.__wrapped__
+    calls = Counter()
+
+    def counted(n, coeffs):
+        calls[n, coeffs] += 1
+        return inner(n, coeffs)
+
+    monkeypatch.setattr(formulas, "_subset_sum_obstruction", functools.lru_cache(2)(counted))
+    code, out, _ = run_cli(["verify", "--mode", "distinct", "--n-max", "9", "--k-max", "3"], capsys)
+    assert code == 0 and json_lines(out)[-1]["cases"] > 0
+    grid = {(n, coeffs) for n in range(1, 10) for k in (1, 2, 3)
+            for coeffs in itertools.combinations_with_replacement(range(n), k)}
+    assert set(calls) == grid and set(calls.values()) == {1}
+
+
 def test_commands_reject_flags_of_other_commands(capsys):
     # each command registers only the flags it reads: a stray one is a usage error
     stray = [
@@ -175,9 +235,6 @@ def test_commands_reject_flags_of_other_commands(capsys):
         ["verify", "--mode", "blocks", "--blocks", "2:2", "--n-max", "2"],
         ["count", "--mode", "all", "-n", "6", "-a", "2,4", "-b", "4", "--jobs", "4"],
         ["count", "--mode", "all", "-n", "6", "-a", "2,4", "-b", "4", "--n-max", "3"],
-        ["bench", "--mode", "blocks", "--n-max", "2", "--format", "csv"],
-        ["bench", "--mode", "blocks", "--n-max", "2", "--jobs", "2"],
-        ["bench", "--mode", "strict", "-k", "5", "--n-list", "30"],
     ]
     for argv in stray:
         code, out, err = run_cli(argv, capsys)
@@ -215,8 +272,8 @@ def test_verify_n_list_wins_over_n_max(capsys):
 def test_grids_honour_n_max(capsys):
     code, out, _ = run_cli(["verify", "--mode", "square", "--n-max", "4", "--k-max", "1"], capsys)
     assert code == 0 and swept_moduli(out) == [1, 2, 3, 4]
-    code, out, _ = run_cli(["bench", "--mode", "blocks", "--n-max", "3"], capsys)
-    assert code == 0 and [row[0] for row in csv.reader(io.StringIO(out))][1:] == ["1", "2", "3"]
+    code, out, _ = run_cli(["verify", "--mode", "blocks", "--n-max", "3", "--k-max", "1"], capsys)
+    assert code == 0 and swept_moduli(out) == [1, 2, 3]
     assert run_cli(["verify", "--mode", "all", "--n-list", "0,3"], capsys)[0] == 2
 
 
@@ -246,8 +303,11 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     assert json_lines(out)[-1]["mismatches"] > 0
 
 
+TIMINGS = ("wall_time_s", "formula_s", "oracle_s")
+
+
 def strip_timing(records):
-    return [{key: value for key, value in rec.items() if key != "wall_time_s"} for rec in records]
+    return [{key: value for key, value in rec.items() if key not in TIMINGS} for rec in records]
 
 
 # Grid flags small enough for every mode; --budget 20 turns the larger cases
@@ -293,7 +353,10 @@ def test_verify_csv_matches_json(mode, capsys):
                 expected.append(str(val))
         expected[timing] = row[timing]
         assert row == expected
-    assert summary_line == "# summary " + " ".join(f"{k}={v}" for k, v in summary.items())
+    body = summary_line.removeprefix("# summary ").split(" ")
+    assert [pair for pair in body if pair.split("=")[0] not in TIMINGS] == [
+        f"{k}={v}" for k, v in summary.items() if k not in TIMINGS]
+    assert [pair.split("=")[0] for pair in body] == list(summary)
 
 
 def test_row_timings_are_whole_nanoseconds(capsys):
@@ -342,27 +405,6 @@ def test_count_matches_verify_row(mode, capsys):
     (row,) = [r for r in json_lines(out)[:-1] if all(r.get(f) == rec.get(f) for f in key)]
     for field in ("count", "method", "residual"):
         assert row[field] == rec[field], field
-
-
-def test_bench_csv_shape(capsys):
-    code, out, _ = run_cli(["bench", "--mode", "strict", "--n-list", "30,10000", "--k-max", "5"], capsys)
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[0] == ["n", "k", "mode", "t_formula_s", "t_oracle_s", "speedup"]
-    by_n = {row[0]: row for row in rows[1:]}
-    assert by_n["30"][4] != ""  # within budget: oracle timed
-    assert by_n["10000"][4] == ""  # over budget: oracle skipped
-
-
-def test_bench_formula_over_budget_gives_empty_row(capsys):
-    # n = 8 is even, so the square formula falls back to the oracle, which
-    # does not fit in one state: the case gets a row with no times, not an abort
-    code, out, _ = run_cli(
-        ["bench", "--mode", "square", "--n-list", "8", "--k-max", "2", "--budget", "1"], capsys
-    )
-    assert code == 0
-    rows = list(csv.reader(io.StringIO(out)))
-    assert rows[1:] == [["8", "2", "square", "", "", ""]]
 
 
 def test_cli_import_leaves_out_pool_and_dataclasses(cli_env):

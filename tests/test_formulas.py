@@ -568,3 +568,32 @@ def test_blocks_spec_validation():
         BlockSpec(6, ((2, 1), (-1, 1)), 0)
     with pytest.raises(DomainError):
         BlockSpec(0, ((1, 1),), 0)
+
+
+def test_front_door_routes_and_refusals(monkeypatch):
+    assert set(formulas._ROUTES) == set(oracles.RESTRICTIONS)
+    # equal coefficients take the divisor sum even where the subset-sum
+    # hypothesis fails (2 shares a factor with 6): the oracle's count
+    spec = CongruenceSpec(6, (2, 2), 0)
+    assert formulas.subset_sum_obstruction(6, spec.coeffs) == ((0,), 2)
+    assert formulas.count(spec, "distinct") == CountResult(10, FORMULA)
+    assert oracles.oracle_histogram(spec, "distinct")[0] == 10
+    for spec, restriction in (
+        (CongruenceSpec(7, (1, 2), 3), "strict-order"),  # no closed form
+        (CongruenceSpec(7, (1, 1), 3), "strict"),  # the CLI's mode, not a restriction
+        (CongruenceSpec(7, (1, 1), 3), "blocks"),
+        (BlockSpec(7, ((2, 1),), 3), "all"),
+    ):
+        with pytest.raises(DomainError):
+            formulas.counter(spec, restriction)
+    # square's even-n fallback charges each target a budget of its own
+    spec = CongruenceSpec(8, (1, 3), 0)
+    states = oracles.state_count(spec, "square")
+    count_at = formulas.counter(spec, "square", OracleBudget(states))
+    hist = oracles.oracle_histogram(spec, "square")
+    assert [count_at(b).count for b in range(8)] == hist
+    with pytest.raises(BudgetExceededError):
+        formulas.count(spec, "square", OracleBudget(states - 1))
+    # counters are looked up when the route is chosen, so a patched one runs
+    monkeypatch.setattr(formulas, "lehmer_count", lambda spec: CountResult(spec.b, "patched"))
+    assert formulas.count(CongruenceSpec(9, (3,), 5), "all") == CountResult(5, "patched")

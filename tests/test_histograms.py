@@ -1,25 +1,55 @@
-"""The oracle histograms: totals and degenerate sizes."""
+"""The oracle histograms: totals and degenerate sizes, and the front door
+formulas.count against them."""
 
-from lincong import oracles
+import pytest
+
+from lincong import formulas, oracles
+from lincong.errors import DomainError
 from lincong.model import BlockSpec, CongruenceSpec
 
 COEFF_RESTRICTIONS = ("all", "square", "strict-order", "distinct")
 
 
+def front_door_matches(spec, restriction, hist):
+    """formulas.count gives hist[b] at every target b, and a DomainError
+    exactly where no closed form applies: strict order with unequal
+    coefficients, and distinct with unequal coefficients that fail the
+    subset-sum hypothesis."""
+    unequal = len(set(spec.coeffs)) > 1
+    if restriction == "distinct":
+        unequal = unequal and formulas.subset_sum_obstruction(spec.n, spec.coeffs) is not None
+    no_route = unequal and restriction in ("strict-order", "distinct")
+    for b in range(spec.n):
+        if no_route:
+            with pytest.raises(DomainError):
+                formulas.count(spec.with_target(b), restriction)
+        else:
+            assert formulas.count(spec.with_target(b), restriction).count == hist[b], b
+    return not no_route
+
+
 def test_histogram_totals():
-    # the histogram total is exactly the state count the budget is charged
+    # the histogram total is exactly the state count the budget is charged,
+    # and each entry the front door's count wherever it has a route
+    routed = set()
     for n in (1, 2, 9, 12):
-        for coeffs in ((1, 2, 4), (3, 3), (0, 5, 1, 7)):
+        for coeffs in ((1, 2, 4), (3, 3), (0, 5, 1, 7), (1, 1, 1), (1, 4), (2, 2)):
             spec = CongruenceSpec(n, coeffs, 0)
             for restriction in COEFF_RESTRICTIONS:
                 hist = oracles.oracle_histogram(spec, restriction)
                 assert len(hist) == n
                 assert sum(hist) == oracles.state_count(spec, restriction), (n, coeffs, restriction)
+                if front_door_matches(spec, restriction, hist):
+                    routed.add((restriction, len(set(spec.coeffs)) == 1))
         for blocks in (((2, 1), (3, 2)), ((1, 0),), ((3, 3), (1, 1), (2, 6))):
             spec = BlockSpec(n, blocks, 0)
             hist = oracles.oracle_histogram(spec, "blocks")
             assert len(hist) == n
             assert sum(hist) == oracles.state_count(spec, "blocks"), (n, blocks)
+            assert front_door_matches(spec, "blocks", hist)
+    # every route ran, distinct's on both sides of the equal-coefficient test
+    assert routed == {(r, equal) for r in COEFF_RESTRICTIONS for equal in (True, False)} - {
+        ("strict-order", False)}
     # one slot width per histogram, the byte length of the total: strict
     # order at n = 12, k = 11 is a weak chain over 2 values, whose rows hold
     # at most the final C(12, 11) = 12.  With every coefficient 0 the whole
