@@ -17,17 +17,20 @@ fixed flags (sweep rows come out in lexicographic grid order, whatever
 use: it pulls in multiprocessing, which would double the start-up time of
 every command.  count prints the exact count however many digits it has.
 
-A verify case is one oracle histogram checked at every target b.  Its rows
-share mode, n and k, a or blocks, so a case carries those fields once and
-each row as a tuple of the fields that vary; Emitter.case encodes the shared
-fields once per case and writes the case's rows at once, in the same bytes
-as one record per row.
+A verify case is one oracle histogram checked at every target b, by one
+counter built for the case: formulas.counter does the work that does not
+read b once, and each row calls it at one target.  The rows share mode, n
+and k, a or blocks, so a case carries those fields once and each row as a
+tuple of the fields that vary; Emitter.case encodes the shared fields once
+per case and writes the case's rows at once, in the same bytes as one
+record per row.
 
 wall_time_s (a row's counter call, or the whole count command) is read
 with time.perf_counter_ns() and written as ns / 1e9: whole nanoseconds,
 whose short repr formats in half the time of a perf_counter() difference's.
 verify's summary gives formula_s, the sum of the rows' wall_time_s, against
 oracle_s, the time its oracle histograms took, read the same way per case.
+Building a case's counter is in neither.
 """
 
 from __future__ import annotations

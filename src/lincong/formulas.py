@@ -3,33 +3,36 @@
 Each counter returns a CountResult whose count is exact.  The divisor-sum
 counters (strict order, distinct with equal coefficients through it, and
 blocks whose coefficients share one gcd f with n) run in plain integers;
-none takes an exact-rational route.  Each keeps its instance part, the
-pairs (d, c_d) that do not read the target, in a small cache, and evaluates
-a target as one integer Ramanujan sum, sum c_d*C_d(b/f) / n.  The distinct
-counter caches its subset-sum hypothesis check, one pass over the subsets,
-per coefficient tuple the same way.  The square counter and the general
+none takes an exact-rational route.  The square counter and the general
 block counter accumulate complex roots of unity and round at the end,
 recording the rounding residual.
 
-Both float routes share work without changing a float operation: each call
-adds the same floats in the same order as the plain sum, so counts,
-residuals and errors stay bit for bit the same.  The general block counter
-keeps its target-independent work in small caches, one orbit plan per
-(n, sizes, coefficients), with integer block weights, and one table of
-roots per n.  The square counter shares work within a call only: one table
-of terms per prime power, and the products of all coefficient subsets built
-by doubling, 2**10 at a time.  It caches nothing across calls.  A table
-keyed on the coefficients would not hit when every target comes with fresh
-coefficients, and one keyed on the prime power alone would keep serving
-terms computed before a patched epsilon or Gauss sum, which the self-test's
-mutation check relies on seeing.  Every counter is verified against the
-independent oracle histograms in the test suite.
+A count has an instance part, which reads only the modulus, the
+coefficients and the divisor structure, and a target part, where b enters.
+counter(spec, restriction) is the front door over oracles.RESTRICTIONS: one
+table, _ROUTES, sends all, square and blocks to their counters; strict-order,
+for equal coefficients only, to the divisor sum; distinct to k! times it for
+equal coefficients, else to the gcd-condition form.  The route builds the
+instance part once and returns the target part as a function of b, which
+holds what it reads: the pairs (d, c_d) of a divisor sum, a target being
+one integer Ramanujan sum, sum c_d*C_d(b/f) / n; both possible results of
+the Lehmer and gcd-condition counts; per prime power of an odd n, the
+square terms T_i(m) and the roots of unity; or the general block counter's
+orbit plan, with integer block weights, and roots.  count(spec, restriction)
+is the counter at spec.b.  The named counters (lehmer_count, square_count,
+...) build the same parts for one target, so each float loop exists once
+and a count, residual or error is bit for bit the same on both paths.
 
-count(spec, restriction) is the front door over oracles.RESTRICTIONS, and
-counter(spec, restriction) the same as a function of b, routed once per
-instance by one table, _ROUTES: all, square and blocks to their counters;
-strict-order, for equal coefficients only, to the divisor sum; distinct
-to k! times it for equal coefficients, else to the gcd-condition form.
+Nothing is cached across counters but the size-2 lru_caches of divisor-sum
+terms, orbit plans, roots and the subset-sum check.  They serve the named
+counters, which a caller may sweep over the targets of one instance with a
+fresh spec each time; the last also serves a check made just before its
+counter is built.  A cache of square terms keyed on the coefficients would
+not hit when every target comes with fresh coefficients, and one keyed on
+the prime power alone would keep serving terms computed before a patched
+epsilon or Gauss sum, which the self-test's mutation check relies on
+seeing.  Every counter is verified against the independent oracle
+histograms in the test suite.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from functools import lru_cache
+from functools import cache, lru_cache, partial
 from operator import add
 
 from . import arith, characters, oracles
@@ -52,13 +55,26 @@ from .model import (
 )
 
 
+_ZERO = CountResult(0, FORMULA)
+
+
 def lehmer_count(spec: CongruenceSpec) -> CountResult:
     """Unrestricted solution count: g*n^(k-1) if g | b else 0, where g is the
     gcd of all coefficients and the modulus."""
-    g = math.gcd(spec.n, *spec.coeffs)
-    if spec.b % g:
-        return CountResult(0, FORMULA)
-    return CountResult(g * spec.n ** (spec.k - 1), FORMULA)
+    g, miss, hit = _lehmer_parts(spec)
+    return CountResult(miss if spec.b % g else hit, FORMULA)
+
+
+def _lehmer_parts(spec: CongruenceSpec) -> tuple[int, int, int]:
+    n, coeffs = spec.n, spec.coeffs
+    g = math.gcd(n, *coeffs)
+    return g, 0, g * n ** (len(coeffs) - 1)
+
+
+def _by_divisibility(g: int, miss: int, hit: int):
+    """The counter that gives ``miss`` at the targets g does not divide, else ``hit``."""
+    miss, hit = CountResult(miss, FORMULA), CountResult(hit, FORMULA)
+    return lambda b: miss if b % g else hit
 
 
 def _square_term(p: int, ell: int, x: int) -> complex:
@@ -76,10 +92,9 @@ def _square_term(p: int, ell: int, x: int) -> complex:
 _CHUNK_BITS = 10
 
 
-def _square_count_prime_power(
-    p: int, ell: int, coeffs: tuple[int, ...], b: int
-) -> tuple[int, float]:
-    """Square-solution count modulo p^ell as the subset-expanded average
+def _square_count_prime_power(p: int, ell: int, coeffs: tuple[int, ...]):
+    """Square-solution count modulo p^ell, as a function of b giving
+    (count, residual), by the subset-expanded average
 
         (1/p^ell) * ( p^ell*[p^ell | b]
                       + sum over nonempty K of 2^(-|K|) * S_K ),
@@ -90,7 +105,8 @@ def _square_count_prime_power(
     taken in closed form to keep float error out of the dominant part.
 
     T_i(m) depends on a_i*m mod p^ell only, so one table of p^ell terms
-    serves every position.  For each m the products
+    serves every position; the rows T_1(m), ..., T_k(m) and the roots
+    e(r/p^ell) are built once, before any target.  For each m the products
     e(-b*m/p^ell) * T_i1(m) * ... * T_ir(m), i1 < ... < ir, of all subsets
     come by doubling: position i appends each product so far times T_i(m),
     so index mask(K) holds the left-to-right product of K.  The first
@@ -100,44 +116,49 @@ def _square_count_prime_power(
     in increasing m, and the total adds the S_K by size, then in
     itertools.combinations order: the float operations of a loop that
     multiplies every product anew, so the count, the residual and any error
-    are bit for bit the same.  Nothing outlives the call (see the module
-    docstring).
+    are bit for bit the same.
     """
     mod = p**ell
     k = len(coeffs)
     table = [_square_term(p, ell, x) for x in range(mod)]
+    roots = [arith.root_of_unity(r, mod) for r in range(mod)]
     residues = range(1, mod + 1)
-    phases = [arith.root_of_unity(-b * m, mod) for m in residues]
     rows = [[table[a * m % mod] for a in coeffs] for m in residues]
     low = min(k, _CHUNK_BITS)
-    real = array("d", [0.0]) * (1 << k)
-    imag = array("d", [0.0]) * (1 << k)
-    for high in range(1 << (k - low)):
-        chosen = [i for i in range(low, k) if high >> (i - low) & 1]
-        sums = [0j] * (1 << low)
-        for phase, row in zip(phases, rows):
-            prods = [phase]
-            for t in row[:low]:
-                prods += [v * t for v in prods]
-            for i in chosen:
-                t = row[i]
-                prods = [v * t for v in prods]
-            # plain + in m order; sum() compensates float sums from 3.12 on
-            sums = list(map(add, sums, prods))
-        start = high << low
-        real[start : start + len(sums)] = array("d", [s.real for s in sums])
-        imag[start : start + len(sums)] = array("d", [s.imag for s in sums])
-    acc = complex(mod if b % mod == 0 else 0)
     bits = [1 << i for i in range(k)]
-    for size in range(1, k + 1):
-        weight = 0.5**size
-        for subset in itertools.combinations(bits, size):
-            mask = sum(subset)  # disjoint bits, so the integer sum is the mask
-            acc += weight * complex(real[mask], imag[mask])
-    value, resid = arith.round_complex_to_int(acc / mod)
-    if value < 0:
-        raise ConsistencyError(f"negative square count {value} mod {p}^{ell}")
-    return value, resid
+
+    def at(b):
+        # root_of_unity reduces its angle first: the floats of e(-b*m/p^ell)
+        phases = [roots[-b * m % mod] for m in residues]
+        real = array("d", [0.0]) * (1 << k)
+        imag = array("d", [0.0]) * (1 << k)
+        for high in range(1 << (k - low)):
+            chosen = [i for i in range(low, k) if high >> (i - low) & 1]
+            sums = [0j] * (1 << low)
+            for phase, row in zip(phases, rows):
+                prods = [phase]
+                for t in row[:low]:
+                    prods += [v * t for v in prods]
+                for i in chosen:
+                    t = row[i]
+                    prods = [v * t for v in prods]
+                # plain + in m order; sum() compensates float sums from 3.12 on
+                sums = list(map(add, sums, prods))
+            start = high << low
+            real[start : start + len(sums)] = array("d", [s.real for s in sums])
+            imag[start : start + len(sums)] = array("d", [s.imag for s in sums])
+        acc = complex(mod if b % mod == 0 else 0)
+        for size in range(1, k + 1):
+            weight = 0.5**size
+            for subset in itertools.combinations(bits, size):
+                mask = sum(subset)  # disjoint bits, so the integer sum is the mask
+                acc += weight * complex(real[mask], imag[mask])
+        value, resid = arith.round_complex_to_int(acc / mod)
+        if value < 0:
+            raise ConsistencyError(f"negative square count {value} mod {p}^{ell}")
+        return value, resid
+
+    return at
 
 
 def square_count(
@@ -155,13 +176,24 @@ def square_count(
     if spec.n % 2 == 0:
         count = oracles.oracle_count(spec, "square", budget)
         return CountResult(count, ORACLE_FALLBACK)
-    total = 1
-    worst = 0.0
-    for p, e in arith.factorize(spec.n).factors:
-        value, resid = _square_count_prime_power(p, e, spec.coeffs, spec.b)
-        total *= value
-        worst = max(worst, resid)
-    return CountResult(total, FORMULA, worst)
+    return _square(spec)(spec.b)
+
+
+def _square(spec: CongruenceSpec):
+    """The odd-n square count as a function of b, its prime-power parts built once."""
+    parts = [_square_count_prime_power(p, e, spec.coeffs)
+             for p, e in arith.factorize(spec.n).factors]
+
+    def at(b):
+        total = 1
+        worst = 0.0
+        for part in parts:
+            value, resid = part(b)
+            total *= value
+            worst = max(worst, resid)
+        return CountResult(total, FORMULA, worst)
+
+    return at
 
 
 def _verify_square_witness(spec: CongruenceSpec, witness: tuple[int, ...]) -> bool:
@@ -234,20 +266,22 @@ def _crt(residues: list[tuple[int, int]], n: int) -> int:
     return x % n
 
 
-# Sweeps visit every target of one instance in a row, so each cache of
-# instance parts keeps two entries.  A divisor-sum entry holds tau(gcd)
-# pairs; a block orbit plan or table of roots holds O(n) values (about
-# 15 MiB for both at n = 200000), which stay cached after the sweep.
+# A counter holds its own instance parts.  These caches serve the named
+# counters, which a caller may sweep over the targets of one instance with a
+# fresh spec each time, so each keeps two entries.  A divisor-sum entry
+# holds tau(gcd) pairs; a block orbit plan or table of roots holds O(n)
+# values (about 15 MiB for both at n = 200000), which stay cached after the
+# sweep.
 _INSTANCE_CACHE_SIZE = 2
 
 
-def _ramanujan_total(n: int, f: int, b: int, terms: tuple[tuple[int, int], ...]) -> int:
+def _divisor_sum(n: int, f: int, terms: tuple[tuple[int, int], ...], b: int) -> CountResult:
     """The target part of a divisor-sum counter: [f | b] times
     (sum of c * C_d(b/f) over the pairs (d, c) of ``terms``) / n, where f
     divides n.  The Ramanujan sum takes the reduced target b/f: the inner
     exponential sum collapses onto it, which matters exactly when f > 1."""
     if b % f:
-        return 0
+        return _ZERO
     bf = b // f
     total = 0
     for d, c in terms:
@@ -255,12 +289,13 @@ def _ramanujan_total(n: int, f: int, b: int, terms: tuple[tuple[int, int], ...])
     value, rem = divmod(total, n)
     if rem:
         raise ConsistencyError(f"divisor sum {total} not divisible by {n}")
-    return value
+    return CountResult(value, FORMULA)
 
 
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _strict_terms(n: int, k: int, f: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (d, (-1)^(k + k/d) * f * C(n/d, k/d)) for d | gcd(n/f, k)."""
+    """The pairs (d, (-1)^(k + k/d) * f * C(n/d, k/d)) for d | gcd(n/f, k).
+    For k > n every binomial, so every count, is 0."""
     return tuple(
         (d, (-1) ** (k + k // d) * f * math.comb(n // d, k // d))
         for d in arith.divisors(math.gcd(n // f, k))
@@ -276,22 +311,28 @@ def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
         ((-1)^k * f / n) * sum over d | gcd(n/f, k) of
             (-1)^(k/d) * C(n/d, k/d) * C_d(b/f)
 
-    evaluated in all-integer arithmetic, with the terms cached per
-    (n, k, f).  The Ramanujan sum takes b/f (checked against enumeration
-    across full sweeps).
+    evaluated in all-integer arithmetic, with the terms built once per
+    counter and cached per (n, k, f).  The Ramanujan sum takes b/f (checked
+    against enumeration across full sweeps).
     """
     if n < 1 or k < 1:
         raise DomainError("strict_order_count needs n >= 1 and k >= 1")
-    if k > n:
-        return CountResult(0, FORMULA)
     f = math.gcd(a, n)
-    return CountResult(_ramanujan_total(n, f, b, _strict_terms(n, k, f)), FORMULA)
+    return _divisor_sum(n, f, _strict_terms(n, k, f), b)
+
+
+def _strict(n: int, k: int, a: int):
+    f = math.gcd(a, n)
+    return partial(_divisor_sum, n, f, _strict_terms(n, k, f))
 
 
 def distinct_count_equal_coeffs(n: int, k: int, a: int, b: int) -> CountResult:
     """Count solutions with all coordinates distinct when every coefficient
     equals a: k! times the strictly ordered count, when that is not 0."""
-    ordered = strict_order_count(n, k, a, b)
+    return _times_factorial(k, strict_order_count(n, k, a, b))
+
+
+def _times_factorial(k: int, ordered: CountResult) -> CountResult:
     if not ordered.count:
         return ordered
     return CountResult(math.factorial(k) * ordered.count, ordered.method)
@@ -340,23 +381,26 @@ def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
     The subset hypothesis is checked exhaustively (k <= 20 enforced), once
     per coefficient tuple.
     """
-    n, k = spec.n, spec.k
+    g, miss, hit = _distinct_gcd_parts(spec)
+    return CountResult(miss if spec.b % g else hit, FORMULA)
+
+
+def _distinct_gcd_parts(spec: CongruenceSpec) -> tuple[int, int, int]:
+    """g and the counts where g does not and does divide b, or DomainError."""
+    n, coeffs = spec.n, spec.coeffs
+    k = len(coeffs)
     if k > 20:
         raise DomainError(f"subset hypothesis check limited to k <= 20, got {k}")
-    obstruction = _subset_sum_obstruction(n, spec.coeffs)
+    obstruction = _subset_sum_obstruction(n, coeffs)
     if obstruction is not None:
         subset, s = obstruction
         raise DomainError(f"subset {subset} has sum {s} with gcd({s}, {n}) > 1")
     if k > n:
-        return CountResult(0, FORMULA)
-    g = math.gcd(sum(spec.coeffs), n)
+        return 1, 0, 0
+    g = math.gcd(sum(coeffs), n)
     falling = math.perm(n - 1, k - 1)
     fact = math.factorial(k - 1)
-    if spec.b % g:
-        value = (-fact if k % 2 else fact) + falling
-    else:
-        value = (fact if k % 2 else -fact) * (g - 1) + falling
-    return CountResult(value, FORMULA)
+    return g, (-fact if k % 2 else fact) + falling, (fact if k % 2 else -fact) * (g - 1) + falling
 
 
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
@@ -368,7 +412,7 @@ def _common_block_terms(n: int, sizes: tuple[int, ...], f: int) -> tuple[tuple[i
             prod_i C(n/d + ki/d - 1, ki/d) * C_d(b/f),
 
     0 when f does not divide b: the pairs (d, f * prod_i C(...)), which
-    _ramanujan_total evaluates at b with the reduced target b/f, as for strict
+    _divisor_sum evaluates at b with the reduced target b/f, as for strict
     order.  Each binomial is the paper's n/(n+ki) * C((n+ki)/d, ki/d), with
     the prefactor folded in."""
     return tuple(
@@ -426,22 +470,30 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
     rounded with a recorded residual.  Divisor tuples with a fractional j_i
     have weight 0 and are skipped.
 
-    Only the roots e(-b*m/n) depend on the target.  The weights and the m of
-    each divisor tuple are built once per (n, sizes, coefficients) and the
-    roots once per n, in small caches, so a sweep over the targets of one
-    instance pays for them once.  Each call still adds the same floats in
-    the same order as a sum rebuilt on every call, so counts, residuals and
-    errors do not change.
+    Only the roots e(-b*m/n) depend on the target.  A counter builds the
+    weights and the m of each divisor tuple, and the roots, once; this
+    function finds them in small caches, per (n, sizes, coefficients) and
+    per n, so a sweep over the targets of one instance pays for them once.
+    Each target still adds the same floats in the same order as a sum
+    rebuilt on every call, so counts, residuals and errors do not change.
     """
-    n, b = spec.n, spec.b
-    sizes, coeffs = spec.sizes, spec.coeffs
-    gcds = [math.gcd(a, n) for a in coeffs]
-    if len(set(gcds)) == 1:
-        f = gcds[0]
-        return CountResult(_ramanujan_total(n, f, b, _common_block_terms(n, sizes, f)), FORMULA)
-    roots = _roots_of_unity(n)
+    return _blocks(spec)(spec.b)
+
+
+def _blocks(spec: BlockSpec):
+    n = spec.n
+    sizes, coeffs = zip(*spec.blocks)
+    gcds = {math.gcd(a, n) for a in coeffs}
+    if len(gcds) == 1:
+        f = gcds.pop()
+        return partial(_divisor_sum, n, f, _common_block_terms(n, sizes, f))
+    return partial(_orbit_sum, n, _roots_of_unity(n), _block_orbit_plan(n, sizes, coeffs))
+
+
+def _orbit_sum(n: int, roots, plan, b: int) -> CountResult:
+    """The target part of the mixed-gcd block count."""
     acc = 0j
-    for weight, orbit in _block_orbit_plan(n, sizes, coeffs):
+    for weight, orbit in plan:
         expo = 0j
         for m in orbit:
             expo += roots[-b * m % n]
@@ -453,44 +505,64 @@ def order_blocks_count(spec: BlockSpec) -> CountResult:
 
 
 # ----------------------------------------------------------------------
-# The front door.  Each route reads its counter when it runs, so a patched
-# or traced counter is the one called.
+# The front door.  A route builds its counter's instance part, reading the
+# builder (_lehmer_parts, _square, _strict, _blocks, ...) by name when it
+# runs, so a patched builder is the one used.
 
 
-def _per_target(counter, spec, max_states=None):
-    """counter(spec at b), and an OracleBudget(max_states) when given."""
-    if max_states is None:
-        return lambda b: counter(spec.with_target(b))
-    return lambda b: counter(spec.with_target(b), OracleBudget(max_states))
-
-
-def _shared(counter, spec, otherwise):
-    """counter(n, k, a, b) as a function of b when every coefficient is a,
-    else _per_target(otherwise, spec), or DomainError when that is None."""
-    n, k, a = spec.n, spec.k, spec.coeffs[0]
-    if spec.coeffs.count(a) == k:
-        return lambda b: counter(n, k, a, b)
-    if otherwise is None:
+def _strict_route(spec: CongruenceSpec, _budget):
+    if len(set(spec.coeffs)) > 1:
         raise DomainError("strict order has a closed form for equal coefficients only")
-    return _per_target(otherwise, spec)
+    return _strict(spec.n, spec.k, spec.coeffs[0])
+
+
+def _distinct_route(spec: CongruenceSpec, _budget):
+    """k! times strict order for equal coefficients, else the gcd-condition
+    form, whose DomainError is raised at every target."""
+    n, k = spec.n, spec.k
+    if len(set(spec.coeffs)) == 1:
+        strict = _strict(n, k, spec.coeffs[0])
+        return lambda b: _times_factorial(k, strict(b))
+    try:
+        return _by_divisibility(*_distinct_gcd_parts(spec))
+    except DomainError as exc:
+        message = str(exc)
+
+    def refuse(b):
+        raise DomainError(message)
+
+    return refuse
+
+
+def _square_route(spec: CongruenceSpec, budget: OracleBudget):
+    """_square for odd n; for even n the oracle fallback, its histogram
+    built at the first target and charged once to an OracleBudget of
+    ``budget``'s size.  A histogram over budget is not kept, so each later
+    target meets the same BudgetExceededError."""
+    if spec.n % 2:
+        return _square(spec)
+    n, max_states = spec.n, budget.max_states
+    histogram = cache(lambda: oracles.oracle_histogram(spec, "square", OracleBudget(max_states)))
+    return lambda b: CountResult(histogram()[b % n], ORACLE_FALLBACK)
 
 
 # restriction -> route(spec, OracleBudget) -> the counter as a function of b
 _ROUTES = {
-    "all": lambda spec, _: _per_target(lehmer_count, spec),
-    "square": lambda spec, budget: _per_target(square_count, spec, budget.max_states),
-    "strict-order": lambda spec, _: _shared(strict_order_count, spec, None),
-    "distinct": lambda spec, _: _shared(
-        distinct_count_equal_coeffs, spec, distinct_count_gcd_condition),
-    "blocks": lambda spec, _: _per_target(order_blocks_count, spec),
+    "all": lambda spec, _: _by_divisibility(*_lehmer_parts(spec)),
+    "square": _square_route,
+    "strict-order": _strict_route,
+    "distinct": _distinct_route,
+    "blocks": lambda spec, _: _blocks(spec),
 }
 
 
 def counter(spec: CongruenceSpec | BlockSpec, restriction: str = "all",
             budget: OracleBudget | None = None):
     """The count of ``spec``'s instance under ``restriction`` as a function
-    of the target b.  Square's oracle fallback (even n) charges each target
-    to its own OracleBudget of ``budget``'s size."""
+    of the target b.  The work that does not read b is done here, once; a
+    DomainError, BudgetExceededError or ConsistencyError that a target
+    meets is raised at that target.  Square's oracle fallback (even n) is
+    charged to an OracleBudget of ``budget``'s size, never to ``budget``."""
     route = _ROUTES.get(restriction)
     if route is None or isinstance(spec, BlockSpec) != (restriction == "blocks"):
         raise DomainError(f"no restriction {restriction!r} for a {type(spec).__name__}")

@@ -11,8 +11,8 @@ from collections import Counter
 
 import pytest
 
-from lincong import arith, cli, formulas
-from lincong.model import CongruenceSpec
+from lincong import arith, cli, formulas, oracles
+from lincong.model import CongruenceSpec, OracleBudget
 
 
 def run_cli(argv, capsys):
@@ -157,10 +157,13 @@ def test_budget_error_exit_2(capsys):
 def test_consistency_error_exit_3(capsys, monkeypatch):
     from lincong.errors import ConsistencyError
 
-    def broken(spec, budget=None):
-        raise ConsistencyError("forced by test")
+    def broken(spec):  # a square counter whose every target fails
+        def at(b):
+            raise ConsistencyError("forced by test")
 
-    monkeypatch.setattr(formulas, "square_count", broken)
+        return at
+
+    monkeypatch.setattr(formulas, "_square", broken)
     code, _, err = run_cli(["count", "--mode", "square", "-n", "27", "-a", "1,1", "-b", "1"], capsys)
     assert code == 3 and "consistency" in err
 
@@ -228,6 +231,40 @@ def test_verify_distinct_checks_each_tuple_once(capsys, monkeypatch):
     assert set(calls) == grid and set(calls.values()) == {1}
 
 
+def test_verify_square_case_builds_each_term_table_once(monkeypatch):
+    # the counter of a case builds one table of terms per prime power, 9
+    # and 5 at n = 45, not one per target (14 * 45 calls)
+    inner = formulas._square_term
+    calls = Counter()
+
+    def counted(p, ell, x):
+        calls[p**ell] += 1
+        return inner(p, ell, x)
+
+    monkeypatch.setattr(formulas, "_square_term", counted)
+    _, rows, _, _ = cli._case_rows(("square", 45, (None, (1, 2)), OracleBudget.max_states))
+    assert len(rows) == 45 and all(row[6] for row in rows)
+    assert calls == {9: 9, 5: 5}
+
+
+def test_verify_square_even_fallback_enumerates_once_per_case(capsys, monkeypatch):
+    # an even modulus falls back to the oracle: its counter builds the
+    # histogram once, beside the case's own oracle, not once per target
+    inner = oracles.oracle_histogram
+    calls = []
+
+    def counted(spec, restriction="all", budget=None):
+        calls.append((spec.coeffs, restriction))
+        return inner(spec, restriction, budget)
+
+    monkeypatch.setattr(oracles, "oracle_histogram", counted)
+    code, out, _ = run_cli(["verify", "--mode", "square", "--n-list", "12", "--k-max", "2"], capsys)
+    *rows, summary = json_lines(out)
+    assert code == 0 and summary["cases"] == len(rows) == 12 * 14
+    assert {rec["method"] for rec in rows} == {"oracle-fallback"}
+    assert len(calls) == 2 * 14 and set(Counter(calls).values()) == {2}
+
+
 def test_commands_reject_flags_of_other_commands(capsys):
     # each command registers only the flags it reads: a stray one is a usage error
     stray = [
@@ -289,15 +326,18 @@ def test_verify_budget_skips(capsys):
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):
-    original = formulas.strict_order_count
+    original = formulas._strict
 
-    def off_by_one(n, k, a, b):
-        res = original(n, k, a, b)
-        from lincong.model import CountResult
+    def off_by_one(n, k, a):
+        count_at = original(n, k, a)
 
-        return CountResult(res.count + 1, res.method, res.residual)
+        def at(b):
+            res = count_at(b)
+            return type(res)(res.count + 1, res.method, res.residual)
 
-    monkeypatch.setattr(formulas, "strict_order_count", off_by_one)
+        return at
+
+    monkeypatch.setattr(formulas, "_strict", off_by_one)
     code, out, _ = run_cli(["verify", "--mode", "strict", "--n-max", "4", "--k-max", "2"], capsys)
     assert code == 1
     assert json_lines(out)[-1]["mismatches"] > 0
@@ -467,12 +507,17 @@ def test_json_records_roundtrip(capsys, monkeypatch):
     for rec in squares:  # every digit of the float survives
         spec = CongruenceSpec(rec["n"], tuple(rec["a"]), rec["b"])
         assert rec["residual"] == formulas.square_count(spec).residual, rec
-    original = formulas.strict_order_count
+    original = formulas._strict
 
-    def off_by_one_at_zero(n, k, a, b):
-        res = original(n, k, a, b)
-        return type(res)(res.count + (b == 0), res.method, res.residual)
+    def off_by_one_at_zero(n, k, a):
+        count_at = original(n, k, a)
 
-    monkeypatch.setattr(formulas, "strict_order_count", off_by_one_at_zero)
+        def at(b):
+            res = count_at(b)
+            return type(res)(res.count + (b == 0), res.method, res.residual)
+
+        return at
+
+    monkeypatch.setattr(formulas, "_strict", off_by_one_at_zero)
     code, recs = lines(tiny_verify("strict"))
     assert code == 1 and {rec["match"] for rec in recs if "match" in rec} == {True, False}

@@ -586,14 +586,73 @@ def test_front_door_routes_and_refusals(monkeypatch):
     ):
         with pytest.raises(DomainError):
             formulas.counter(spec, restriction)
-    # square's even-n fallback charges each target a budget of its own
+    # square's even-n fallback charges its one histogram to a budget of its
+    # own, of the given size: the caller's budget stays untouched
     spec = CongruenceSpec(8, (1, 3), 0)
     states = oracles.state_count(spec, "square")
-    count_at = formulas.counter(spec, "square", OracleBudget(states))
+    budget = OracleBudget(states)
+    count_at = formulas.counter(spec, "square", budget)
     hist = oracles.oracle_histogram(spec, "square")
-    assert [count_at(b).count for b in range(8)] == hist
+    assert [count_at(b).count for b in range(8)] == hist and budget.used == 0
     with pytest.raises(BudgetExceededError):
         formulas.count(spec, "square", OracleBudget(states - 1))
-    # counters are looked up when the route is chosen, so a patched one runs
-    monkeypatch.setattr(formulas, "lehmer_count", lambda spec: CountResult(spec.b, "patched"))
-    assert formulas.count(CongruenceSpec(9, (3,), 5), "all") == CountResult(5, "patched")
+    # a route reads the instance part's builder when it runs, so a patched one
+    # builds the counter (the true count here is 0)
+    monkeypatch.setattr(formulas, "_lehmer_parts", lambda spec: (1, 0, 7))
+    assert formulas.count(CongruenceSpec(9, (3,), 5), "all") == CountResult(7, FORMULA)
+
+
+def _named_counter(spec, restriction):
+    """The named per-target counter that restriction's route stands for."""
+    named = {"all": formulas.lehmer_count, "square": formulas.square_count,
+             "blocks": formulas.order_blocks_count}
+    if restriction in named:
+        return named[restriction](spec)
+    n, k, a, b = spec.n, spec.k, spec.coeffs[0], spec.b
+    if restriction == "strict-order":
+        return formulas.strict_order_count(n, k, a, b)
+    if len(set(spec.coeffs)) == 1:
+        return formulas.distinct_count_equal_coeffs(n, k, a, b)
+    return formulas.distinct_count_gcd_condition(spec)
+
+
+def test_counter_matches_named_counters():
+    # a counter built once per instance gives, at every target, the named
+    # counter's result with the same residual bits, or its error type and
+    # message: on a small grid, on the K3 instances (the same wrong integers
+    # and errors on both paths) and on the errors met at a target
+    cases = []
+    for n in (1, 2, 5, 8, 9, 12, 15):
+        for k in (1, 2, 3):
+            for coeffs in itertools.combinations_with_replacement((0, 1, 2, 3, 6), k):
+                spec = CongruenceSpec(n, coeffs, 0)
+                cases += [(spec, r) for r in ("all", "square", "distinct")]
+                if len(set(spec.coeffs)) == 1:
+                    cases.append((spec, "strict-order"))
+        for sizes in ((1,), (2, 1), (2, 3), (1, 1, 2)):
+            for coeffs in itertools.product((1, 2, 3), repeat=len(sizes)):
+                cases.append((BlockSpec(n, tuple(zip(sizes, coeffs)), 0), "blocks"))
+    for n, blocks in ((18, ((8, 2), (8, 3), (8, 1))), (30, ((10, 2), (10, 3), (10, 5))),
+                      (168, ((2, 2), (2, 4), (1, 6), (1, 8)))):
+        cases.append((BlockSpec(n, blocks, 0), "blocks"))
+    for spec, restriction in cases:
+        count_at = formulas.counter(spec, restriction)
+        for b in range(spec.n):
+            want = _outcome(lambda s: _named_counter(s, restriction), spec.with_target(b))
+            assert _outcome(count_at, b) == want, (spec, restriction, b)
+    spec = CongruenceSpec(49, (1,) * 13, 1)
+    assert _outcome(formulas.counter(spec, "square"), 1) == _outcome(formulas.square_count, spec)
+    # errors are raised at the target, on every call, not when the counter is built
+    for spec, restriction, error in (
+        (CongruenceSpec(6, (2, 1), 0), "distinct", DomainError),
+        (BlockSpec(168, ((2, 2), (2, 4), (1, 6), (1, 8)), 0), "blocks", ConsistencyError),
+    ):
+        count_at = formulas.counter(spec, restriction)
+        for _ in range(2):
+            with pytest.raises(error):
+                count_at(1)
+    budget = OracleBudget(oracles.state_count(CongruenceSpec(8, (1, 3), 0), "square") - 1)
+    count_at = formulas.counter(CongruenceSpec(8, (1, 3), 0), "square", budget)
+    for b in (0, 1):
+        with pytest.raises(BudgetExceededError):
+            count_at(b)
