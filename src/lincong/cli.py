@@ -25,18 +25,18 @@ tuple of the fields that vary; Emitter.case encodes the shared fields once
 per case and writes the case's rows at once, in the same bytes as one
 record per row.
 
-wall_time_s (a row's counter call, or the whole count command) is read
-with time.perf_counter_ns() and written as ns / 1e9: whole nanoseconds,
-whose short repr formats in half the time of a perf_counter() difference's.
-verify's summary gives formula_s, the sum of the rows' wall_time_s, against
-oracle_s, the time its oracle histograms took, read the same way per case.
-Building a case's counter is in neither.
+wall_time_ns (a row's counter call, or the whole count command) is the
+int that time.perf_counter_ns() differences give, written as it is: an int
+formats in a fraction of the time a float's repr takes.  verify's summary
+gives formula_s, the sum of the rows' wall_time_ns in seconds, against
+oracle_s, the time its oracle histograms took, and build_s, the time
+building its cases' counters took, each read the same way per case.  csv is
+imported by the first CSV write, as JSON is the default format.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import itertools
 import json
 import math
@@ -50,7 +50,7 @@ from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .model import FORMULA, BlockSpec, CongruenceSpec, OracleBudget
 
 CSV_COLUMNS = (
-    "mode", "n", "k", "a", "b", "blocks", "count", "method", "residual", "wall_time_s",
+    "mode", "n", "k", "a", "b", "blocks", "count", "method", "residual", "wall_time_ns",
     "oracle_count", "match", "status", "detail",
 )
 
@@ -331,6 +331,8 @@ class Emitter:
 
     def _writer(self):
         if self._csv is None:
+            import csv  # only here: JSON is the default
+
             self._csv = csv.writer(self.stream)
             self._csv.writerow(CSV_COLUMNS)
         return self._csv
@@ -344,26 +346,30 @@ class Emitter:
     def case(self, fixed: dict, rows: list[tuple]) -> None:
         """The rows of one verify case: ``fixed`` holds the fields every row
         shares (mode, n, and k, a or blocks), and each row is a tuple
-        (b, count, method, residual, wall_time_s, oracle_count, match)."""
+        (b, count, method, residual, wall_time_ns, oracle_count, match)."""
+        # Each distinct residual is formatted once per case; exact routes
+        # give 0.0.  Residuals are finite and never -0.0 (round_complex_to_int
+        # divides abs() values and rejects non-finite ones), so float.__repr__
+        # is their json and csv form, and equal keys share one text.
+        residuals = {r: float.__repr__(r) for r in {row[3] for row in rows}}
         if self.fmt == "csv":
             # the columns of CSV_COLUMNS in order; fixed has no b
             mode, n, k, a, _, blocks = (_csv_cell(fixed.get(col)) for col in CSV_COLUMNS[:6])
             self._writer().writerows(
-                [mode, n, k, a, b, blocks, count, method, residual, dt, oracle, ok, "ok", ""]
-                for b, count, method, residual, dt, oracle, ok in rows
+                [mode, n, k, a, b, blocks, count, method, residuals[residual], ns, oracle, ok,
+                 "ok", ""]
+                for b, count, method, residual, ns, oracle, ok in rows
             )
             return
         # json.dumps(record) with the shared fields and each method name
-        # encoded once.  Counts and b are ints.  The floats are finite, so
-        # float.__repr__ is json's own form for them: round_complex_to_int
-        # rejects non-finite values, and _Signed's residual is always 0.0.
+        # encoded once.  Counts, b and wall_time_ns are ints.
         head = json.dumps(fixed)[:-1] + ', "b": '
         methods = {method: json.dumps(method) for method in {row[2] for row in rows}}
         self.stream.write("".join(
             f'{head}{b}, "count": {count}, "method": {methods[method]}, '
-            f'"residual": {float.__repr__(residual)}, "wall_time_s": {float.__repr__(dt)}, '
+            f'"residual": {residuals[residual]}, "wall_time_ns": {ns}, '
             f'"oracle_count": {oracle}, "match": {"true" if ok else "false"}, "status": "ok"}}\n'
-            for b, count, method, residual, dt, oracle, ok in rows
+            for b, count, method, residual, ns, oracle, ok in rows
         ))
 
     def summary(self, rec: dict) -> None:
@@ -408,7 +414,7 @@ def cmd_count(args) -> int:
     if "blocks" in rec:  # count has always printed the block label after b
         rec["blocks"] = rec.pop("blocks")
     rec.update(count=result.count, method=result.method, residual=result.residual)
-    rec["wall_time_s"] = (time.perf_counter_ns() - t0) / 1e9
+    rec["wall_time_ns"] = time.perf_counter_ns() - t0
     _unlimited_digits(Emitter(args.format).record, rec)
     return 0
 
@@ -417,19 +423,22 @@ def cmd_count(args) -> int:
 # verify
 
 
-def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int]:
+def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int, int]:
     """Run one verify case (mode name, n, params, budget): one oracle
     histogram checks the counter at every target b.  Returns the fields all
     rows share (mode, n, and k, a or blocks), one tuple (b, count, method,
-    residual, wall_time_s, oracle_count, match) per target as Emitter.case
-    takes them, and the nanoseconds of the counter calls and of the oracle
-    (a case over budget: its skip record, None, 0 and 0)."""
+    residual, wall_time_ns, oracle_count, match) per target as Emitter.case
+    takes them, and the nanoseconds of building the counter, of the counter
+    calls and of the oracle (a case over budget: its skip record, None, the
+    build's nanoseconds, 0 and 0)."""
     name, n, params, max_states = case
     mode = MODE_TABLE[name]
     fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
     del fixed["b"]  # the last field, so the rows' own fields follow the shared ones
     budget = OracleBudget(max_states)
+    t0 = time.perf_counter_ns()
     spec, count_at = _instance(mode, n, params, budget)
+    build_ns = time.perf_counter_ns() - t0
     rows, formula_ns = [], 0
     try:
         t0 = time.perf_counter_ns()
@@ -441,11 +450,12 @@ def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int]:
             res = count_at(b)
             ns = time.perf_counter_ns() - t0
             formula_ns += ns
-            rows.append((b, res.count, res.method, res.residual, ns / 1e9, hist[b],
+            rows.append((b, res.count, res.method, res.residual, ns, hist[b],
                          res.count == hist[b]))
     except BudgetExceededError as exc:
-        return {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}, None, 0, 0
-    return fixed, rows, formula_ns, oracle_ns
+        skip = {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}
+        return skip, None, build_ns, 0, 0
+    return fixed, rows, build_ns, formula_ns, oracle_ns
 
 
 def cmd_verify(args) -> int:
@@ -454,7 +464,7 @@ def cmd_verify(args) -> int:
     # cached when its case's counter asks again
     cases = ((args.mode, n, params, budget) for n, params in grid)
     emitter = Emitter(args.format)
-    total_rows = mismatches = skipped = formula_ns = oracle_ns = 0
+    total_rows = mismatches = skipped = build_ns = formula_ns = oracle_ns = 0
     max_residual = 0.0
     if args.jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # only here: costly to import
@@ -462,7 +472,8 @@ def cmd_verify(args) -> int:
             outcomes = list(pool.map(_case_rows, cases, chunksize=8))
     else:
         outcomes = map(_case_rows, cases)
-    for fixed, rows, case_formula_ns, case_oracle_ns in outcomes:
+    for fixed, rows, case_build_ns, case_formula_ns, case_oracle_ns in outcomes:
+        build_ns += case_build_ns
         if rows is None:
             emitter.record(fixed)
             skipped += 1
@@ -475,7 +486,7 @@ def cmd_verify(args) -> int:
         oracle_ns += case_oracle_ns
     emitter.summary({"cases": total_rows, "mismatches": mismatches, "skipped": skipped,
                      "max_residual": max_residual, "formula_s": formula_ns / 1e9,
-                     "oracle_s": oracle_ns / 1e9})
+                     "oracle_s": oracle_ns / 1e9, "build_s": build_ns / 1e9})
     return 0 if mismatches == 0 else 1
 
 

@@ -187,7 +187,7 @@ def test_verify_square_row_schema(capsys):
     assert code == 0
     *records, summary = json_lines(out)
     assert summary["cases"] == len(records) > 0
-    fields = ["mode", "n", "k", "a", "b", "count", "method", "residual", "wall_time_s",
+    fields = ["mode", "n", "k", "a", "b", "count", "method", "residual", "wall_time_ns",
               "oracle_count", "match", "status"]
     for rec in records:
         assert list(rec) == fields
@@ -202,15 +202,16 @@ def test_verify_summary_times_formula_and_oracle(capsys):
         assert code == 0, fmt
         if fmt == "json":
             *rows, summary = json_lines(out)
-            walls = [rec["wall_time_s"] for rec in rows]
+            walls = [rec["wall_time_ns"] for rec in rows]
         else:
             pairs = out.strip().splitlines()[-1].removeprefix("# summary ").split(" ")
             summary = {key: float(value) for key, value in (p.split("=") for p in pairs)}
             rows = list(csv.DictReader(io.StringIO(out.rsplit("# summary", 1)[0])))
-            walls = [float(row["wall_time_s"]) for row in rows]
+            walls = [int(row["wall_time_ns"]) for row in rows]
         assert summary["mismatches"] == 0 and summary["cases"] == len(rows) > 0, fmt
         assert summary["oracle_s"] > 0 and summary["formula_s"] > 0, fmt
-        assert summary["formula_s"] == pytest.approx(sum(walls), abs=1e-6), fmt
+        assert summary["build_s"] > 0, fmt
+        assert summary["formula_s"] == sum(walls) / 1e9, fmt
 
 
 def test_verify_distinct_checks_each_tuple_once(capsys, monkeypatch):
@@ -242,7 +243,7 @@ def test_verify_square_case_builds_each_term_table_once(monkeypatch):
         return inner(p, ell, x)
 
     monkeypatch.setattr(formulas, "_square_term", counted)
-    _, rows, _, _ = cli._case_rows(("square", 45, (None, (1, 2)), OracleBudget.max_states))
+    rows = cli._case_rows(("square", 45, (None, (1, 2)), OracleBudget.max_states))[1]
     assert len(rows) == 45 and all(row[6] for row in rows)
     assert calls == {9: 9, 5: 5}
 
@@ -343,7 +344,7 @@ def test_verify_detects_mismatch(capsys, monkeypatch):
     assert json_lines(out)[-1]["mismatches"] > 0
 
 
-TIMINGS = ("wall_time_s", "formula_s", "oracle_s")
+TIMINGS = ("wall_time_ns", "formula_s", "oracle_s", "build_s")
 
 
 def strip_timing(records):
@@ -380,7 +381,7 @@ def test_verify_csv_matches_json(mode, capsys):
     assert parsed[0] == list(cli.CSV_COLUMNS)
     assert list(cli.CSV_COLUMNS) not in parsed[1:]
     assert len(parsed) == len(records) + 1
-    timing = cli.CSV_COLUMNS.index("wall_time_s")
+    timing = cli.CSV_COLUMNS.index("wall_time_ns")
     for rec, row in zip(records, parsed[1:]):
         expected = []
         for col in cli.CSV_COLUMNS:
@@ -399,26 +400,26 @@ def test_verify_csv_matches_json(mode, capsys):
     assert [pair.split("=")[0] for pair in body] == list(summary)
 
 
-def test_row_timings_are_whole_nanoseconds(capsys):
-    # every wall_time_s is a perf_counter_ns() difference divided by 1e9
-    def whole_ns(text):
-        x = float(text)
-        return x >= 0 and x == round(x * 1e9) / 1e9
-
-    timings = []
+def test_row_timings_are_integer_nanoseconds(capsys):
+    # every wall_time_ns is a perf_counter_ns() difference, written as an int
+    timings, cells = [], []
     for mode in cli.MODES:
         argv = tiny_verify(mode)
         _, out, _ = run_cli(argv, capsys)
-        timings += [rec["wall_time_s"] for rec in json_lines(out)[:-1] if rec["status"] == "ok"]
+        timings += [rec["wall_time_ns"] for rec in json_lines(out)[:-1] if rec["status"] == "ok"]
         _, out, _ = run_cli(argv + ["--format", "csv"], capsys)
         rows = list(csv.DictReader(io.StringIO(out.rsplit("# summary", 1)[0])))
-        timings += [row["wall_time_s"] for row in rows if row["status"] == "ok"]
+        cells += [row["wall_time_ns"] for row in rows if row["status"] == "ok"]
     for count_args in (["--mode", "all", "-n", "6", "-a", "2,4", "-b", "4"],
                        ["--mode", "strict", "-n", "5", "-k", "2", "-a", "1", "-b", "0"]):
         _, out, _ = run_cli(["count", *count_args], capsys)
-        timings += [rec["wall_time_s"] for rec in json_lines(out)]
-    assert len(timings) > 100
-    assert all(whole_ns(x) for x in timings), [x for x in timings if not whole_ns(x)][:5]
+        timings += [rec["wall_time_ns"] for rec in json_lines(out)]
+        _, out, _ = run_cli(["count", *count_args, "--format", "csv"], capsys)
+        cells += [row["wall_time_ns"] for row in csv.DictReader(io.StringIO(out))]
+    assert len(timings) > 100 and len(cells) > 100
+    bad = [x for x in timings if type(x) is not int or x < 0]
+    assert not bad, bad[:5]
+    assert all(cell.isdigit() for cell in cells), [c for c in cells if not c.isdigit()][:5]
 
 
 # One small instance per mode, with the verify flags whose grid contains it.
@@ -459,7 +460,7 @@ def test_cli_import_leaves_out_pool_and_dataclasses(cli_env):
     added = set(proc.stdout.split())
     assert "lincong.cli" in added
     heavy = ("concurrent.futures", "multiprocessing", "dataclasses", "inspect",
-             "fractions", "decimal", "numbers")
+             "fractions", "decimal", "numbers", "csv", "_csv")
     assert not added & set(heavy), sorted(added & set(heavy))
 
 
