@@ -120,7 +120,7 @@ class _Signed(NamedTuple):  # a formula value that may be negative (a Ramanujan 
 
 class _Mode(NamedTuple):
     parse: Callable  # count's arguments -> params; raises UsageError
-    fields: Callable  # (n, params, b) -> record fields k, a or blocks, and b last
+    fields: Callable  # (n, params, b) -> record fields k, a, b or k, b, blocks
     restriction: str | None  # a name of oracles.RESTRICTIONS; None for ramanujan
     verify_grid: Callable  # args -> [(n, params)] in lexicographic order
     golden: tuple  # (n, params, b, count) cases that selftest checks
@@ -176,7 +176,7 @@ def _coeff_fields(n, params, b):
 
 def _blocks_fields(n, blocks, b):
     label = ",".join(f"{size}:{coeff}" for size, coeff in blocks)
-    return {"k": sum(size for size, _ in blocks), "blocks": label, "b": b % n}
+    return {"k": sum(size for size, _ in blocks), "b": b % n, "blocks": label}
 
 
 def _instance(mode: _Mode, n: int, params, budget: OracleBudget) -> tuple:
@@ -411,8 +411,6 @@ def cmd_count(args) -> int:
             raise UsageError(f"mode {args.mode} takes no -k")
         raise UsageError(f"-k {args.k} disagrees with the instance, which has k = {rec['k']}")
     result = count_at(args.b)
-    if "blocks" in rec:  # count has always printed the block label after b
-        rec["blocks"] = rec.pop("blocks")
     rec.update(count=result.count, method=result.method, residual=result.residual)
     rec["wall_time_ns"] = time.perf_counter_ns() - t0
     _unlimited_digits(Emitter(args.format).record, rec)
@@ -423,23 +421,24 @@ def cmd_count(args) -> int:
 # verify
 
 
-def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int, int]:
+def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int, int, int, float]:
     """Run one verify case (mode name, n, params, budget): one oracle
     histogram checks the counter at every target b.  Returns the fields all
     rows share (mode, n, and k, a or blocks), one tuple (b, count, method,
     residual, wall_time_ns, oracle_count, match) per target as Emitter.case
-    takes them, and the nanoseconds of building the counter, of the counter
-    calls and of the oracle (a case over budget: its skip record, None, the
-    build's nanoseconds, 0 and 0)."""
+    takes them, the nanoseconds of building the counter, of the counter
+    calls and of the oracle, the rows that do not match and the largest
+    residual (a case over budget: its skip record, None, the build's
+    nanoseconds, then 0, 0, 0 and 0.0)."""
     name, n, params, max_states = case
     mode = MODE_TABLE[name]
     fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
-    del fixed["b"]  # the last field, so the rows' own fields follow the shared ones
+    del fixed["b"]  # each row writes its own b after the shared fields
     budget = OracleBudget(max_states)
     t0 = time.perf_counter_ns()
     spec, count_at = _instance(mode, n, params, budget)
     build_ns = time.perf_counter_ns() - t0
-    rows, formula_ns = [], 0
+    rows, formula_ns, mismatches, worst = [], 0, 0, 0.0
     try:
         t0 = time.perf_counter_ns()
         hist = (ramanujan_divisor_form(n) if mode.restriction is None
@@ -450,12 +449,15 @@ def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int, int]:
             res = count_at(b)
             ns = time.perf_counter_ns() - t0
             formula_ns += ns
-            rows.append((b, res.count, res.method, res.residual, ns, hist[b],
-                         res.count == hist[b]))
+            count, residual, oracle = res.count, res.residual, hist[b]
+            mismatches += count != oracle
+            if residual > worst:
+                worst = residual
+            rows.append((b, count, res.method, residual, ns, oracle, count == oracle))
     except BudgetExceededError as exc:
         skip = {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}
-        return skip, None, build_ns, 0, 0
-    return fixed, rows, build_ns, formula_ns, oracle_ns
+        return skip, None, build_ns, 0, 0, 0, 0.0
+    return fixed, rows, build_ns, formula_ns, oracle_ns, mismatches, worst
 
 
 def cmd_verify(args) -> int:
@@ -472,7 +474,7 @@ def cmd_verify(args) -> int:
             outcomes = list(pool.map(_case_rows, cases, chunksize=8))
     else:
         outcomes = map(_case_rows, cases)
-    for fixed, rows, case_build_ns, case_formula_ns, case_oracle_ns in outcomes:
+    for fixed, rows, case_build_ns, case_formula_ns, case_oracle_ns, misses, worst in outcomes:
         build_ns += case_build_ns
         if rows is None:
             emitter.record(fixed)
@@ -480,8 +482,8 @@ def cmd_verify(args) -> int:
             continue
         emitter.case(fixed, rows)
         total_rows += len(rows)
-        mismatches += sum(not row[6] for row in rows)
-        max_residual = max(max_residual, *(row[3] for row in rows))
+        mismatches += misses
+        max_residual = max(max_residual, worst)
         formula_ns += case_formula_ns
         oracle_ns += case_oracle_ns
     emitter.summary({"cases": total_rows, "mismatches": mismatches, "skipped": skipped,

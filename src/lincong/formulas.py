@@ -19,20 +19,19 @@ one integer Ramanujan sum, sum c_d*C_d(b/f) / n; both possible results of
 the Lehmer and gcd-condition counts; per prime power of an odd n, the
 square terms T_i(m) and the roots of unity; or the general block counter's
 orbit plan, with integer block weights, and roots.  count(spec, restriction)
-is the counter at spec.b.  The named counters (lehmer_count, square_count,
-...) build the same parts for one target, so each float loop exists once
-and a count, residual or error is bit for bit the same on both paths.
+is the counter at spec.b.
 
-Nothing is cached across counters but the size-2 lru_caches of divisor-sum
-terms, orbit plans, roots and the subset-sum check.  They serve the named
-counters, which a caller may sweep over the targets of one instance with a
-fresh spec each time; the last also serves a check made just before its
-counter is built.  A cache of square terms keyed on the coefficients would
-not hit when every target comes with fresh coefficients, and one keyed on
-the prime power alone would keep serving terms computed before a patched
-epsilon or Gauss sum, which the self-test's mutation check relies on
-seeing.  Every counter is verified against the independent oracle
-histograms in the test suite.
+A named counter (lehmer_count, strict_order_count, ...) is its instance's
+counter at b, from the same builder that _ROUTES calls, so each float loop
+exists once and a count, residual or error is bit for bit the same on both
+paths.  Those builders keep their last two counters, so a sweep over the
+targets of one instance builds it once.  square_count alone builds its
+counter at every call: a cache keyed on the prime power alone would keep
+serving terms computed before a patched epsilon or Gauss sum, which the
+self-test's mutation check relies on seeing.  The subset-sum check keeps its
+own two entries, for a check made just before its counter is built.  Every
+counter is verified against the independent oracle histograms in the test
+suite.
 """
 
 from __future__ import annotations
@@ -58,17 +57,22 @@ from .model import (
 _ZERO = CountResult(0, FORMULA)
 
 
+# Counters each cached builder keeps.  A divisor-sum counter holds tau(gcd)
+# pairs; a mixed-gcd block counter holds its orbit plan and n roots, O(n)
+# values (about 15 MiB at n = 200000), which stay cached after the sweep.
+_INSTANCE_CACHE_SIZE = 2
+
+
 def lehmer_count(spec: CongruenceSpec) -> CountResult:
     """Unrestricted solution count: g*n^(k-1) if g | b else 0, where g is the
     gcd of all coefficients and the modulus."""
-    g, miss, hit = _lehmer_parts(spec)
-    return CountResult(miss if spec.b % g else hit, FORMULA)
+    return _lehmer(spec.n, spec.coeffs)(spec.b)
 
 
-def _lehmer_parts(spec: CongruenceSpec) -> tuple[int, int, int]:
-    n, coeffs = spec.n, spec.coeffs
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
+def _lehmer(n: int, coeffs: tuple[int, ...]):
     g = math.gcd(n, *coeffs)
-    return g, 0, g * n ** (len(coeffs) - 1)
+    return _by_divisibility(g, 0, g * n ** (len(coeffs) - 1))
 
 
 def _by_divisibility(g: int, miss: int, hit: int):
@@ -266,15 +270,6 @@ def _crt(residues: list[tuple[int, int]], n: int) -> int:
     return x % n
 
 
-# A counter holds its own instance parts.  These caches serve the named
-# counters, which a caller may sweep over the targets of one instance with a
-# fresh spec each time, so each keeps two entries.  A divisor-sum entry
-# holds tau(gcd) pairs; a block orbit plan or table of roots holds O(n)
-# values (about 15 MiB for both at n = 200000), which stay cached after the
-# sweep.
-_INSTANCE_CACHE_SIZE = 2
-
-
 def _divisor_sum(n: int, f: int, terms: tuple[tuple[int, int], ...], b: int) -> CountResult:
     """The target part of a divisor-sum counter: [f | b] times
     (sum of c * C_d(b/f) over the pairs (d, c) of ``terms``) / n, where f
@@ -292,16 +287,6 @@ def _divisor_sum(n: int, f: int, terms: tuple[tuple[int, int], ...], b: int) -> 
     return CountResult(value, FORMULA)
 
 
-@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
-def _strict_terms(n: int, k: int, f: int) -> tuple[tuple[int, int], ...]:
-    """The pairs (d, (-1)^(k + k/d) * f * C(n/d, k/d)) for d | gcd(n/f, k).
-    For k > n every binomial, so every count, is 0."""
-    return tuple(
-        (d, (-1) ** (k + k // d) * f * math.comb(n // d, k // d))
-        for d in arith.divisors(math.gcd(n // f, k))
-    )
-
-
 def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
     """Count solutions of a*(x1+...+xk) = b (mod n) with x1 > x2 > ... > xk
     on the canonical residues [0, n).
@@ -311,19 +296,25 @@ def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
         ((-1)^k * f / n) * sum over d | gcd(n/f, k) of
             (-1)^(k/d) * C(n/d, k/d) * C_d(b/f)
 
-    evaluated in all-integer arithmetic, with the terms built once per
-    counter and cached per (n, k, f).  The Ramanujan sum takes b/f (checked
-    against enumeration across full sweeps).
+    evaluated in all-integer arithmetic: the instance's counter (_strict) at
+    b.  The Ramanujan sum takes b/f (checked against enumeration across full
+    sweeps).
     """
     if n < 1 or k < 1:
         raise DomainError("strict_order_count needs n >= 1 and k >= 1")
-    f = math.gcd(a, n)
-    return _divisor_sum(n, f, _strict_terms(n, k, f), b)
+    return _strict(n, k, a)(b)
 
 
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _strict(n: int, k: int, a: int):
+    """The divisor sum over the pairs (d, (-1)^(k + k/d) * f * C(n/d, k/d))
+    for d | gcd(n/f, k).  For k > n every binomial, so every count, is 0."""
     f = math.gcd(a, n)
-    return partial(_divisor_sum, n, f, _strict_terms(n, k, f))
+    terms = tuple(
+        (d, (-1) ** (k + k // d) * f * math.comb(n // d, k // d))
+        for d in arith.divisors(math.gcd(n // f, k))
+    )
+    return partial(_divisor_sum, n, f, terms)
 
 
 def distinct_count_equal_coeffs(n: int, k: int, a: int, b: int) -> CountResult:
@@ -381,13 +372,13 @@ def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
     The subset hypothesis is checked exhaustively (k <= 20 enforced), once
     per coefficient tuple.
     """
-    g, miss, hit = _distinct_gcd_parts(spec)
-    return CountResult(miss if spec.b % g else hit, FORMULA)
+    return _distinct_gcd(spec.n, spec.coeffs)(spec.b)
 
 
-def _distinct_gcd_parts(spec: CongruenceSpec) -> tuple[int, int, int]:
-    """g and the counts where g does not and does divide b, or DomainError."""
-    n, coeffs = spec.n, spec.coeffs
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
+def _distinct_gcd(n: int, coeffs: tuple[int, ...]):
+    """The counter by whether g = gcd(a1+...+ak, n) divides b; DomainError
+    when the subset hypothesis fails or k > 20."""
     k = len(coeffs)
     if k > 20:
         raise DomainError(f"subset hypothesis check limited to k <= 20, got {k}")
@@ -396,32 +387,15 @@ def _distinct_gcd_parts(spec: CongruenceSpec) -> tuple[int, int, int]:
         subset, s = obstruction
         raise DomainError(f"subset {subset} has sum {s} with gcd({s}, {n}) > 1")
     if k > n:
-        return 1, 0, 0
+        return _by_divisibility(1, 0, 0)
     g = math.gcd(sum(coeffs), n)
     falling = math.perm(n - 1, k - 1)
     fact = math.factorial(k - 1)
-    return g, (-fact if k % 2 else fact) + falling, (fact if k % 2 else -fact) * (g - 1) + falling
-
-
-@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
-def _common_block_terms(n: int, sizes: tuple[int, ...], f: int) -> tuple[tuple[int, int], ...]:
-    """The terms of the single divisor sum for blocks whose coefficients
-    share gcd f with n,
-
-        (f/n) * sum over d | gcd(n/f, k1, ..., kt) of
-            prod_i C(n/d + ki/d - 1, ki/d) * C_d(b/f),
-
-    0 when f does not divide b: the pairs (d, f * prod_i C(...)), which
-    _divisor_sum evaluates at b with the reduced target b/f, as for strict
-    order.  Each binomial is the paper's n/(n+ki) * C((n+ki)/d, ki/d), with
-    the prefactor folded in."""
-    return tuple(
-        (d, f * math.prod(math.comb(n // d + ki // d - 1, ki // d) for ki in sizes))
-        for d in arith.divisors(math.gcd(n // f, *sizes))
+    return _by_divisibility(
+        g, (-fact if k % 2 else fact) + falling, (fact if k % 2 else -fact) * (g - 1) + falling
     )
 
 
-@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _block_orbit_plan(
     n: int, sizes: tuple[int, ...], coeffs: tuple[int, ...]
 ) -> tuple[tuple[float, tuple[int, ...]], ...]:
@@ -450,44 +424,46 @@ def _block_orbit_plan(
     return tuple(plan)
 
 
-@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
-def _roots_of_unity(n: int) -> tuple[complex, ...]:
-    """e(r/n) for r in [0, n), each as arith.root_of_unity computes it."""
-    return tuple(arith.root_of_unity(r, n) for r in range(n))
-
-
 def order_blocks_count(spec: BlockSpec) -> CountResult:
     """Count solutions that are weakly decreasing within each coefficient
-    block.
+    block: the instance's counter (_blocks) at b.
 
-    When all gcd(a_i, n) equal one f, uses the single divisor sum
-    (_common_block_terms) in plain integers, its terms built once per
-    (n, sizes, f).  Otherwise evaluates the general form: for every divisor
-    tuple (d_1, ..., d_t) with integral j_i = k_i*d_i/n, the weight
+    When all gcd(a_i, n) equal one f, the count is the single divisor sum
+
+        (f/n) * sum over d | gcd(n/f, k1, ..., kt) of
+            prod_i C(n/d + ki/d - 1, ki/d) * C_d(b/f),
+
+    0 when f does not divide b, in plain integers with the reduced target
+    b/f, as for strict order.  Each binomial is the paper's
+    n/(n+ki) * C((n+ki)/d, ki/d), with the prefactor folded in.
+
+    Otherwise it evaluates the general form: for every divisor tuple
+    (d_1, ..., d_t) with integral j_i = k_i*d_i/n, the weight
     prod_i d_i/(d_i+j_i) * C(d_i+j_i, j_i) = prod_i C(d_i+j_i-1, j_i), an
     integer, multiplies the exponential sum over m in [1, n] with
     gcd(a_i*m, n) = d_i for every i, and the total is divided by n and
     rounded with a recorded residual.  Divisor tuples with a fractional j_i
-    have weight 0 and are skipped.
-
-    Only the roots e(-b*m/n) depend on the target.  A counter builds the
-    weights and the m of each divisor tuple, and the roots, once; this
-    function finds them in small caches, per (n, sizes, coefficients) and
-    per n, so a sweep over the targets of one instance pays for them once.
-    Each target still adds the same floats in the same order as a sum
-    rebuilt on every call, so counts, residuals and errors do not change.
+    have weight 0 and are skipped.  Only the roots e(-b*m/n) depend on the
+    target: the weights, the m of each divisor tuple and the roots are built
+    with the counter, and each target adds the same floats in the same order
+    as a sum rebuilt at every target would.
     """
-    return _blocks(spec)(spec.b)
+    return _blocks(spec.n, spec.blocks)(spec.b)
 
 
-def _blocks(spec: BlockSpec):
-    n = spec.n
-    sizes, coeffs = zip(*spec.blocks)
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
+def _blocks(n: int, blocks: tuple[tuple[int, int], ...]):
+    sizes, coeffs = zip(*blocks)
     gcds = {math.gcd(a, n) for a in coeffs}
     if len(gcds) == 1:
         f = gcds.pop()
-        return partial(_divisor_sum, n, f, _common_block_terms(n, sizes, f))
-    return partial(_orbit_sum, n, _roots_of_unity(n), _block_orbit_plan(n, sizes, coeffs))
+        terms = tuple(
+            (d, f * math.prod(math.comb(n // d + ki // d - 1, ki // d) for ki in sizes))
+            for d in arith.divisors(math.gcd(n // f, *sizes))
+        )
+        return partial(_divisor_sum, n, f, terms)
+    roots = tuple(arith.root_of_unity(r, n) for r in range(n))
+    return partial(_orbit_sum, n, roots, _block_orbit_plan(n, sizes, coeffs))
 
 
 def _orbit_sum(n: int, roots, plan, b: int) -> CountResult:
@@ -506,8 +482,8 @@ def _orbit_sum(n: int, roots, plan, b: int) -> CountResult:
 
 # ----------------------------------------------------------------------
 # The front door.  A route builds its counter's instance part, reading the
-# builder (_lehmer_parts, _square, _strict, _blocks, ...) by name when it
-# runs, so a patched builder is the one used.
+# builder (_lehmer, _square, _strict, _blocks, ...) by name when it runs, so
+# a patched builder is the one used.
 
 
 def _strict_route(spec: CongruenceSpec, _budget):
@@ -524,7 +500,7 @@ def _distinct_route(spec: CongruenceSpec, _budget):
         strict = _strict(n, k, spec.coeffs[0])
         return lambda b: _times_factorial(k, strict(b))
     try:
-        return _by_divisibility(*_distinct_gcd_parts(spec))
+        return _distinct_gcd(n, spec.coeffs)
     except DomainError as exc:
         message = str(exc)
 
@@ -548,11 +524,11 @@ def _square_route(spec: CongruenceSpec, budget: OracleBudget):
 
 # restriction -> route(spec, OracleBudget) -> the counter as a function of b
 _ROUTES = {
-    "all": lambda spec, _: _by_divisibility(*_lehmer_parts(spec)),
+    "all": lambda spec, _: _lehmer(spec.n, spec.coeffs),
     "square": _square_route,
     "strict-order": _strict_route,
     "distinct": _distinct_route,
-    "blocks": lambda spec, _: _blocks(spec),
+    "blocks": lambda spec, _: _blocks(spec.n, spec.blocks),
 }
 
 

@@ -46,23 +46,7 @@ class FrozenValue:
         return type(self), self._fields()  # the fields pass __init__'s checks unchanged
 
 
-class _Instance(FrozenValue):
-    """What the two spec classes share: fields (n, shape, b), and with_target."""
-
-    __slots__ = ()
-
-    def with_target(self, b: int):
-        """This instance with target b, reduced into [0, n).  The other
-        fields are shared as they are: reduced and checked already."""
-        n, shape = self.n, self.__slots__[1]
-        spec = object.__new__(type(self))
-        _set(spec, "n", n)
-        _set(spec, shape, getattr(self, shape))
-        _set(spec, "b", int(b) % n)
-        return spec
-
-
-class CongruenceSpec(_Instance):
+class CongruenceSpec(FrozenValue):
     """An instance a1*x1 + ... + ak*xk = b (mod n); coefficients and target
     are stored reduced into [0, n)."""
 
@@ -83,7 +67,7 @@ class CongruenceSpec(_Instance):
         return len(self.coeffs)
 
 
-class BlockSpec(_Instance):
+class BlockSpec(FrozenValue):
     """Block structure for order-restricted counting: within each block of
     size k_i all variables share the coefficient a_i and must be weakly
     decreasing.  Coefficients and target are reduced into [0, n)."""

@@ -598,8 +598,14 @@ def test_front_door_routes_and_refusals(monkeypatch):
         formulas.count(spec, "square", OracleBudget(states - 1))
     # a route reads the instance part's builder when it runs, so a patched one
     # builds the counter (the true count here is 0)
-    monkeypatch.setattr(formulas, "_lehmer_parts", lambda spec: (1, 0, 7))
+    monkeypatch.setattr(formulas, "_lehmer", lambda n, coeffs: formulas._by_divisibility(1, 0, 7))
     assert formulas.count(CongruenceSpec(9, (3,), 5), "all") == CountResult(7, FORMULA)
+
+
+def _at_target(spec, b):
+    """A fresh spec of ``spec``'s instance with target b."""
+    shape = spec.blocks if isinstance(spec, BlockSpec) else spec.coeffs
+    return type(spec)(spec.n, shape, b)
 
 
 def _named_counter(spec, restriction):
@@ -614,6 +620,28 @@ def _named_counter(spec, restriction):
     if len(set(spec.coeffs)) == 1:
         return formulas.distinct_count_equal_coeffs(n, k, a, b)
     return formulas.distinct_count_gcd_condition(spec)
+
+
+@pytest.mark.parametrize("builder, spec, restriction", [
+    ("_strict", CongruenceSpec(12, (3, 3, 3), 0), "strict-order"),
+    ("_strict", CongruenceSpec(12, (5, 5, 5), 0), "distinct"),
+    ("_distinct_gcd", CongruenceSpec(11, (1, 2, 3), 0), "distinct"),
+    ("_lehmer", CongruenceSpec(12, (4, 6), 0), "all"),
+    ("_blocks", BlockSpec(12, ((2, 2), (3, 10)), 0), "blocks"),
+    ("_blocks", BlockSpec(12, ((2, 2), (1, 3)), 0), "blocks"),
+], ids=["strict", "distinct-equal", "distinct-gcd", "lehmer", "blocks-common", "blocks-mixed"])
+def test_named_counter_sweep_builds_its_instance_once(builder, spec, restriction):
+    # a named counter is its instance's cached counter at b: a sweep with a
+    # fresh spec at every target builds it once, and the front door's
+    # counter for the same instance is that cached one
+    cached = getattr(formulas, builder)
+    cached.cache_clear()
+    for b in range(spec.n):
+        _named_counter(_at_target(spec, b), restriction)
+    info = cached.cache_info()
+    assert (info.misses, info.hits) == (1, spec.n - 1)
+    formulas.counter(spec, restriction)
+    assert cached.cache_info().hits == spec.n
 
 
 def test_counter_matches_named_counters():
@@ -638,7 +666,7 @@ def test_counter_matches_named_counters():
     for spec, restriction in cases:
         count_at = formulas.counter(spec, restriction)
         for b in range(spec.n):
-            want = _outcome(lambda s: _named_counter(s, restriction), spec.with_target(b))
+            want = _outcome(lambda s: _named_counter(s, restriction), _at_target(spec, b))
             assert _outcome(count_at, b) == want, (spec, restriction, b)
     spec = CongruenceSpec(49, (1,) * 13, 1)
     assert _outcome(formulas.counter(spec, "square"), 1) == _outcome(formulas.square_count, spec)

@@ -209,7 +209,7 @@ def test_oracle_matches_lehmer():
                 for b in range(n):
                     assert hist[b] == count_at(b).count, (n, coeffs, b)
                     if n <= 10:
-                        expected = formulas.lehmer_count(spec.with_target(b))
+                        expected = formulas.lehmer_count(CongruenceSpec(n, coeffs, b))
                         assert hist[b] == expected.count, (n, coeffs, b)
 
 
