@@ -5,7 +5,7 @@ Everything here is a pure function of its arguments.  Values are exact
 integers, except the roots of unity e(x) = exp(2*pi*i*x), which are complex
 doubles.  Only the square counter and the mixed-gcd block counter add them
 up; ``round_complex_to_int`` turns such a sum back into an integer under the
-1e-6 relative tolerance ROUND_TOL.  Ramanujan sums come from Hoelder's
+1e-6 relative tolerance model.ROUND_TOL.  Ramanujan sums come from Hoelder's
 closed form.
 """
 
@@ -15,10 +15,7 @@ import math
 from functools import lru_cache
 
 from .errors import ConsistencyError, DomainError
-from .model import FrozenValue
-
-# Relative tolerance for rounding complex accumulations to exact integers.
-ROUND_TOL = 1e-6
+from .model import ROUND_TOL, FrozenValue
 
 # Entries each cache below keeps: a benchmark round or a default verify grid
 # needs at most about 1100, and a long sweep of moduli holds no more than this.
@@ -158,18 +155,19 @@ def root_of_unity(num: int, den: int) -> complex:
     return complex(math.cos(theta), math.sin(theta))
 
 
-def round_complex_to_int(z: complex, tol: float = ROUND_TOL) -> tuple[int, float]:
+def round_complex_to_int(z: complex) -> tuple[int, float]:
     """Round a complex value that should be an exact integer.
 
     Returns (integer, relative residual).  The residual compares both the
     imaginary part and the distance to the nearest integer against
-    max(1, |Re z|); at or above ``tol`` a ConsistencyError is raised.
+    max(1, |Re z|); at or above ROUND_TOL, the bound CountResult puts on a
+    residual, a ConsistencyError is raised.
     """
     if not (math.isfinite(z.real) and math.isfinite(z.imag)):
         raise ConsistencyError(f"non-finite value {z!r}")
     n = round(z.real)
     resid = max(abs(z.imag), abs(z.real - n)) / max(1.0, abs(z.real))
-    if resid >= tol:
+    if resid >= ROUND_TOL:
         raise ConsistencyError(f"{z!r} is not an integer (residual {resid:.3g})")
     return n, resid
 

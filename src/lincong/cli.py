@@ -404,12 +404,13 @@ def cmd_count(args) -> int:
         raise UsageError(f"mode {args.mode} takes no --budget")
     t0 = time.perf_counter_ns()
     params = mode.parse(args)
-    _, count_at = _instance(mode, args.n, params, OracleBudget(_budget(args)))
+    # -k is checked first: building the counter may raise a DomainError
     rec = {"mode": args.mode, "n": args.n, **mode.fields(args.n, params, args.b)}
     if args.k is not None and args.k != rec.get("k"):
         if "k" not in rec:
             raise UsageError(f"mode {args.mode} takes no -k")
         raise UsageError(f"-k {args.k} disagrees with the instance, which has k = {rec['k']}")
+    _, count_at = _instance(mode, args.n, params, OracleBudget(_budget(args)))
     result = count_at(args.b)
     rec.update(count=result.count, method=result.method, residual=result.residual)
     rec["wall_time_ns"] = time.perf_counter_ns() - t0
@@ -423,26 +424,26 @@ def cmd_count(args) -> int:
 
 def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int, int, int, float]:
     """Run one verify case (mode name, n, params, budget): one oracle
-    histogram checks the counter at every target b.  Returns the fields all
-    rows share (mode, n, and k, a or blocks), one tuple (b, count, method,
-    residual, wall_time_ns, oracle_count, match) per target as Emitter.case
-    takes them, the nanoseconds of building the counter, of the counter
-    calls and of the oracle, the rows that do not match and the largest
-    residual (a case over budget: its skip record, None, the build's
-    nanoseconds, then 0, 0, 0 and 0.0)."""
+    histogram checks the counter at every target b.  The oracle and the
+    counter each get an OracleBudget of the case's size.  Returns the
+    fields all rows share (mode, n, and k, a or blocks), one tuple (b,
+    count, method, residual, wall_time_ns, oracle_count, match) per target
+    as Emitter.case takes them, the nanoseconds of building the counter, of
+    the counter calls and of the oracle, the rows that do not match and the
+    largest residual (a case over budget: its skip record, None, the
+    build's nanoseconds, then 0, 0, 0 and 0.0)."""
     name, n, params, max_states = case
     mode = MODE_TABLE[name]
     fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
     del fixed["b"]  # each row writes its own b after the shared fields
-    budget = OracleBudget(max_states)
     t0 = time.perf_counter_ns()
-    spec, count_at = _instance(mode, n, params, budget)
+    spec, count_at = _instance(mode, n, params, OracleBudget(max_states))
     build_ns = time.perf_counter_ns() - t0
     rows, formula_ns, mismatches, worst = [], 0, 0, 0.0
     try:
         t0 = time.perf_counter_ns()
         hist = (ramanujan_divisor_form(n) if mode.restriction is None
-                else oracles.oracle_histogram(spec, mode.restriction, budget))
+                else oracles.oracle_histogram(spec, mode.restriction, OracleBudget(max_states)))
         oracle_ns = time.perf_counter_ns() - t0
         for b in range(n):
             t0 = time.perf_counter_ns()

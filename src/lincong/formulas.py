@@ -17,21 +17,24 @@ instance part once and returns the target part as a function of b, which
 holds what it reads: the pairs (d, c_d) of a divisor sum, a target being
 one integer Ramanujan sum, sum c_d*C_d(b/f) / n; both possible results of
 the Lehmer and gcd-condition counts; per prime power of an odd n, the
-square terms T_i(m) and the roots of unity; or the general block counter's
-orbit plan, with integer block weights, and roots.  count(spec, restriction)
+square terms T_i(m) and the roots of unity, or for an even n the oracle
+histogram, charged to the counter's budget at the first target; or the
+general block counter's orbit plan, with integer block weights, and roots.
+A route raises its DomainError when it is built, and a target only the
+BudgetExceededError or ConsistencyError it meets.  count(spec, restriction)
 is the counter at spec.b.
 
-A named counter (lehmer_count, strict_order_count, ...) is its instance's
-counter at b, from the same builder that _ROUTES calls, so each float loop
-exists once and a count, residual or error is bit for bit the same on both
-paths.  Those builders keep their last two counters, so a sweep over the
-targets of one instance builds it once.  square_count alone builds its
-counter at every call: a cache keyed on the prime power alone would keep
-serving terms computed before a patched epsilon or Gauss sum, which the
-self-test's mutation check relies on seeing.  The subset-sum check keeps its
-own two entries, for a check made just before its counter is built.  Every
-counter is verified against the independent oracle histograms in the test
-suite.
+A named counter (lehmer_count, strict_order_count, square_count, ...) is
+its instance's counter at b, from the same builder that _ROUTES calls, so
+each float loop and the even-n square fallback exist once and a count,
+residual or error is bit for bit the same on both paths.  Those builders
+keep their last two counters, so a sweep over the targets of one instance
+builds it once.  square_count alone builds its counter at every call: a
+cache keyed on the prime power alone would keep serving terms computed
+before a patched epsilon or Gauss sum, which the self-test's mutation check
+relies on seeing.  The subset-sum check keeps its own two entries, for a
+check made just before its counter is built.  Every counter is verified
+against the independent oracle histograms in the test suite.
 """
 
 from __future__ import annotations
@@ -168,7 +171,8 @@ def _square_count_prime_power(p: int, ell: int, coeffs: tuple[int, ...]):
 def square_count(
     spec: CongruenceSpec, budget: OracleBudget | None = None
 ) -> CountResult:
-    """Count solutions whose coordinates are all squares modulo n.
+    """Count solutions whose coordinates are all squares modulo n: the
+    instance's square counter at b.
 
     For odd n the count multiplies over the prime powers of n, each factor
     evaluated by the Ramanujan/Gauss-sum expansion.  The expansion is proved
@@ -177,10 +181,7 @@ def square_count(
     OracleBudget when None) and raises BudgetExceededError when it does not
     fit; odd moduli never touch the budget.
     """
-    if spec.n % 2 == 0:
-        count = oracles.oracle_count(spec, "square", budget)
-        return CountResult(count, ORACLE_FALLBACK)
-    return _square(spec)(spec.b)
+    return counter(spec, "square", budget)(spec.b)
 
 
 def _square(spec: CongruenceSpec):
@@ -494,31 +495,24 @@ def _strict_route(spec: CongruenceSpec, _budget):
 
 def _distinct_route(spec: CongruenceSpec, _budget):
     """k! times strict order for equal coefficients, else the gcd-condition
-    form, whose DomainError is raised at every target."""
+    form, whose DomainError (a failed subset-sum hypothesis, or k > 20) is
+    raised here, when the counter is built, as strict order's is."""
     n, k = spec.n, spec.k
     if len(set(spec.coeffs)) == 1:
         strict = _strict(n, k, spec.coeffs[0])
         return lambda b: _times_factorial(k, strict(b))
-    try:
-        return _distinct_gcd(n, spec.coeffs)
-    except DomainError as exc:
-        message = str(exc)
-
-    def refuse(b):
-        raise DomainError(message)
-
-    return refuse
+    return _distinct_gcd(n, spec.coeffs)
 
 
 def _square_route(spec: CongruenceSpec, budget: OracleBudget):
     """_square for odd n; for even n the oracle fallback, its histogram
-    built at the first target and charged once to an OracleBudget of
-    ``budget``'s size.  A histogram over budget is not kept, so each later
-    target meets the same BudgetExceededError."""
+    built at the first target and charged to ``budget`` once per counter.
+    A charge that fails leaves the budget unchanged and no histogram is
+    kept, so each later target meets the same BudgetExceededError."""
     if spec.n % 2:
         return _square(spec)
-    n, max_states = spec.n, budget.max_states
-    histogram = cache(lambda: oracles.oracle_histogram(spec, "square", OracleBudget(max_states)))
+    n = spec.n
+    histogram = cache(lambda: oracles.oracle_histogram(spec, "square", budget))
     return lambda b: CountResult(histogram()[b % n], ORACLE_FALLBACK)
 
 
@@ -535,10 +529,11 @@ _ROUTES = {
 def counter(spec: CongruenceSpec | BlockSpec, restriction: str = "all",
             budget: OracleBudget | None = None):
     """The count of ``spec``'s instance under ``restriction`` as a function
-    of the target b.  The work that does not read b is done here, once; a
-    DomainError, BudgetExceededError or ConsistencyError that a target
-    meets is raised at that target.  Square's oracle fallback (even n) is
-    charged to an OracleBudget of ``budget``'s size, never to ``budget``."""
+    of the target b.  The work that does not read b is done here, once, and
+    so is a DomainError (an unknown restriction, or an instance outside the
+    route's closed form); a target raises the BudgetExceededError or
+    ConsistencyError it meets.  Square's oracle fallback (even n) is charged
+    to ``budget`` (a default OracleBudget when None), once per counter."""
     route = _ROUTES.get(restriction)
     if route is None or isinstance(spec, BlockSpec) != (restriction == "blocks"):
         raise DomainError(f"no restriction {restriction!r} for a {type(spec).__name__}")

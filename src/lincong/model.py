@@ -14,6 +14,9 @@ from .errors import BudgetExceededError, ConsistencyError, DomainError
 FORMULA = "formula"
 ORACLE_FALLBACK = "oracle-fallback"
 
+# The relative tolerance of arith.round_complex_to_int: CountResult's residual bound.
+ROUND_TOL = 1e-6
+
 _set = object.__setattr__  # how __init__ sets a field past FrozenValue.__setattr__
 
 
@@ -108,7 +111,7 @@ class CountResult(FrozenValue):
     def __init__(self, count: int, method: str, residual: float = 0.0):
         if count < 0:
             raise ConsistencyError(f"negative count {count} ({method})")
-        if not 0.0 <= residual < 1e-6:
+        if not 0.0 <= residual < ROUND_TOL:
             raise ConsistencyError(f"residual {residual} out of range")
         _set(self, "count", count)
         _set(self, "method", method)

@@ -136,6 +136,10 @@ def test_count_refuses_budget_where_nothing_reads_it(capsys):
 def test_count_k_must_match_the_instance(capsys):
     assert run_cli(["count", "--mode", "all", "-n", "6", "-a", "2,4", "-k", "3", "-b", "4"], capsys)[0] == 2
     assert run_cli(["count", "--mode", "ramanujan", "-n", "9", "-k", "1", "-b", "3"], capsys)[0] == 2
+    # checked before the counter is built, whose DomainError would come first
+    code, _, err = run_cli(["count", "--mode", "distinct", "-n", "6", "-a", "2,1", "-k", "3", "-b", "0"],
+                           capsys)
+    assert code == 2 and "disagrees" in err
     code, out, _ = run_cli(["count", "--mode", "all", "-n", "6", "-a", "2,4", "-k", "2", "-b", "4"], capsys)
     assert code == 0 and json_lines(out)[0]["count"] == 12
 

@@ -14,7 +14,9 @@ import pytest
 
 from lincong import arith, characters, formulas, oracles
 from lincong.errors import BudgetExceededError, ConsistencyError, DomainError
-from lincong.model import FORMULA, BlockSpec, CongruenceSpec, CountResult, OracleBudget
+from lincong.model import (
+    FORMULA, ORACLE_FALLBACK, BlockSpec, CongruenceSpec, CountResult, OracleBudget,
+)
 
 
 def test_congruence_spec_reduces():
@@ -71,6 +73,35 @@ def test_square_count_fallback_honours_budget():
     res = formulas.square_count(spec, budget)
     assert res.count == 1 and res.method == "oracle-fallback"
     assert budget.used == 9
+
+
+def test_one_square_fallback_and_one_budget_rule(monkeypatch):
+    # square_count is the square counter at b: its even-n fallback is the
+    # counter's histogram, not oracle_count, charged to the budget it is given
+    def no_oracle_count(*args):
+        raise AssertionError("square_count went through oracle_count")
+
+    monkeypatch.setattr(oracles, "oracle_count", no_oracle_count)
+    budget = OracleBudget(9)
+    res = formulas.square_count(CongruenceSpec(8, (1, 1), 2), budget)
+    assert res == CountResult(1, ORACLE_FALLBACK) and budget.used == 9
+    # a sweep builds one histogram and charges it once; a budget one state
+    # short fails at every target and keeps no charge
+    histogram, calls = oracles.oracle_histogram, []
+    monkeypatch.setattr(oracles, "oracle_histogram",
+                        lambda *args: calls.append(args) or histogram(*args))
+    spec = CongruenceSpec(12, (1, 3), 0)
+    states = oracles.state_count(spec, "square")
+    budget = OracleBudget(states)
+    count_at = formulas.counter(spec, "square", budget)
+    assert [count_at(b).count for b in range(12)] == histogram(spec, "square")
+    assert len(calls) == 1 and budget.used == states
+    short = OracleBudget(states - 1)
+    count_at = formulas.counter(spec, "square", short)
+    for b in range(12):
+        with pytest.raises(BudgetExceededError):
+            count_at(b)
+    assert short.used == 0
 
 
 def test_square_count_multiplicative_spot():
@@ -586,14 +617,14 @@ def test_front_door_routes_and_refusals(monkeypatch):
     ):
         with pytest.raises(DomainError):
             formulas.counter(spec, restriction)
-    # square's even-n fallback charges its one histogram to a budget of its
-    # own, of the given size: the caller's budget stays untouched
+    # square's even-n fallback charges its one histogram to the given budget,
+    # once over the sweep
     spec = CongruenceSpec(8, (1, 3), 0)
     states = oracles.state_count(spec, "square")
     budget = OracleBudget(states)
     count_at = formulas.counter(spec, "square", budget)
     hist = oracles.oracle_histogram(spec, "square")
-    assert [count_at(b).count for b in range(8)] == hist and budget.used == 0
+    assert [count_at(b).count for b in range(8)] == hist and budget.used == states
     with pytest.raises(BudgetExceededError):
         formulas.count(spec, "square", OracleBudget(states - 1))
     # a route reads the instance part's builder when it runs, so a patched one
@@ -648,7 +679,9 @@ def test_counter_matches_named_counters():
     # a counter built once per instance gives, at every target, the named
     # counter's result with the same residual bits, or its error type and
     # message: on a small grid, on the K3 instances (the same wrong integers
-    # and errors on both paths) and on the errors met at a target
+    # and errors on both paths) and on the errors met at a target.  A
+    # distinct counter for an obstructed tuple is refused when it is built,
+    # with the error the named counter raises at every target
     cases = []
     for n in (1, 2, 5, 8, 9, 12, 15):
         for k in (1, 2, 3):
@@ -664,21 +697,28 @@ def test_counter_matches_named_counters():
                       (168, ((2, 2), (2, 4), (1, 6), (1, 8)))):
         cases.append((BlockSpec(n, blocks, 0), "blocks"))
     for spec, restriction in cases:
-        count_at = formulas.counter(spec, restriction)
+        try:
+            count_at = formulas.counter(spec, restriction)
+        except DomainError as exc:
+            assert restriction == "distinct", (spec, restriction)
+            count_at = None
+            refused = (DomainError, str(exc))
         for b in range(spec.n):
             want = _outcome(lambda s: _named_counter(s, restriction), _at_target(spec, b))
-            assert _outcome(count_at, b) == want, (spec, restriction, b)
+            got = refused if count_at is None else _outcome(count_at, b)
+            assert got == want, (spec, restriction, b)
     spec = CongruenceSpec(49, (1,) * 13, 1)
     assert _outcome(formulas.counter(spec, "square"), 1) == _outcome(formulas.square_count, spec)
-    # errors are raised at the target, on every call, not when the counter is built
-    for spec, restriction, error in (
-        (CongruenceSpec(6, (2, 1), 0), "distinct", DomainError),
-        (BlockSpec(168, ((2, 2), (2, 4), (1, 6), (1, 8)), 0), "blocks", ConsistencyError),
-    ):
-        count_at = formulas.counter(spec, restriction)
-        for _ in range(2):
-            with pytest.raises(error):
-                count_at(1)
+    # a DomainError is raised when the counter is built, with the named
+    # counter's message; a ConsistencyError at the target, on every call
+    spec = CongruenceSpec(6, (2, 1), 1)
+    with pytest.raises(DomainError) as refused:
+        formulas.counter(spec, "distinct")
+    assert _outcome(formulas.distinct_count_gcd_condition, spec) == (DomainError, str(refused.value))
+    count_at = formulas.counter(BlockSpec(168, ((2, 2), (2, 4), (1, 6), (1, 8)), 0), "blocks")
+    for _ in range(2):
+        with pytest.raises(ConsistencyError):
+            count_at(1)
     budget = OracleBudget(oracles.state_count(CongruenceSpec(8, (1, 3), 0), "square") - 1)
     count_at = formulas.counter(CongruenceSpec(8, (1, 3), 0), "square", budget)
     for b in (0, 1):
