@@ -11,6 +11,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lincong import arith, characters, formulas, oracles
 from lincong.errors import BudgetExceededError, ConsistencyError, DomainError
@@ -526,6 +528,94 @@ def test_blocks_common_gcd_past_2_64():
     assert max(hist) > 2**64
     for b in range(60):
         assert formulas.order_blocks_count(BlockSpec(60, blocks, b)).count == hist[b], b
+
+
+def test_engine_matches_oracle_on_weak_blocks():
+    # _engine on weakly ordered blocks equals the oracle for every instance,
+    # mixed gcds included, though order_blocks_count takes the float orbit
+    # sum there: every n <= 12 with one or two blocks of size <= 3 and every
+    # coefficient, then the three block shapes where that float sum gives a
+    # wrong count or raises ConsistencyError
+    budget = OracleBudget(10**30)
+    cases = []
+    for n in range(1, 13):
+        pairs = [(s, a) for s in (1, 2, 3) for a in range(n)]
+        cases += [(n, (p,)) for p in pairs]
+        cases += [(n, blocks) for blocks in itertools.combinations_with_replacement(pairs, 2)]
+    cases += [(18, ((8, 2), (8, 3), (8, 1))), (30, ((10, 2), (10, 3), (10, 5))),
+              (168, ((2, 2), (2, 4), (1, 6), (1, 8)))]
+    mixed = 0
+    for n, blocks in cases:
+        count_at = formulas._engine(n, [("weak", k, a) for k, a in blocks])
+        hist = oracles.oracle_histogram(BlockSpec(n, blocks, 0), "blocks", budget)
+        assert [count_at(b).count for b in range(n)] == hist, (n, blocks)
+        mixed += len({math.gcd(a, n) for _, a in blocks}) > 1
+    assert mixed > 1000
+
+
+def test_engine_never_factors_n(monkeypatch):
+    # the engine factors only G, a divisor of gcd(n, k_1*gcd(a_1, n), ...),
+    # so strict order and common-gcd blocks count at moduli whose
+    # factorization by trial division would be slow
+    factorize = arith.factorize
+
+    def small_only(m):
+        assert m <= 10**6, f"factorize({m})"
+        return factorize(m)
+
+    monkeypatch.setattr(arith, "factorize", small_only)
+    formulas._strict.cache_clear()
+    formulas._blocks.cache_clear()
+    n = 10**12 + 39  # prime, so G = gcd(n, 12) = 1
+    assert formulas.strict_order_count(n, 12, 5, 7).count == math.comb(n, 12) // n
+    n = 2 * 999999937  # 999999937 is prime; every coefficient has gcd 2 with n
+    blocks = ((3, 4), (2, 6), (1, 2))
+    even = 2 * math.comb(n + 2, 3) * math.comb(n + 1, 2)
+    for b, want in ((0, even), (1, 0), (10**9, even)):
+        assert formulas.order_blocks_count(BlockSpec(n, blocks, b)).count == want, b
+
+
+@st.composite
+def _exact_case(draw):
+    """(spec, restriction) on an exact route: all, strict order or distinct
+    with equal coefficients, or blocks whose coefficients share one gcd with n."""
+    restriction = draw(st.sampled_from(("all", "strict-order", "distinct", "blocks")))
+    if restriction == "all":
+        n = draw(st.integers(2, 60))
+        coeffs = draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=13))
+        return CongruenceSpec(n, coeffs, 0), restriction
+    if restriction != "blocks":
+        # the distinct oracle makes up to n*k*2^(k-1) transfers, so distinct
+        # reaches n = 200 only in the explicit example below
+        n = draw(st.integers(60, 200 if restriction == "strict-order" else 120))
+        k = draw(st.integers(1, 8))
+        return CongruenceSpec(n, (draw(st.integers(0, n - 1)),) * k, 0), restriction
+    n = draw(st.integers(2, 60))
+    f = draw(st.sampled_from(arith.divisors(n)))
+    units = [u for u in range(1, n // f + 1) if math.gcd(u, n // f) == 1]
+    blocks = draw(st.lists(st.tuples(st.integers(1, 10), st.sampled_from(units)),
+                           min_size=1, max_size=3))
+    return BlockSpec(n, [(s, f * u) for s, u in blocks], 0), restriction
+
+
+def test_exact_routes_match_oracle_past_2_53():
+    # counts past the float limit, every exact route against its oracle
+    # histogram at every target; square and mixed-gcd blocks stay out until
+    # their float routes are replaced, since they are wrong there
+    largest = []
+
+    @settings(max_examples=100, derandomize=True, deadline=None)
+    @given(_exact_case())
+    @example((CongruenceSpec(200, (7,) * 8, 0), "distinct"))  # past 2**53
+    def check(case):
+        spec, restriction = case
+        hist = oracles.oracle_histogram(spec, restriction, OracleBudget(10**60))
+        count_at = formulas.counter(spec, restriction)
+        assert [count_at(b).count for b in range(spec.n)] == hist
+        largest.append(max(hist))
+
+    check()
+    assert max(largest) > 2**64
 
 
 def _square_per_subset_reference(spec):
