@@ -23,12 +23,7 @@ from .arith import (
     root_of_unity,
     round_complex_to_int,
 )
-from .characters import (
-    SquareProfile,
-    gauss_sum_real_prime_power,
-    square_indicator,
-    square_profile,
-)
+from .characters import gauss_sum_real_prime_power, square_indicator, squares
 from .errors import BudgetExceededError, ConsistencyError, DomainError
 from .formulas import (
     count,
@@ -59,7 +54,6 @@ __all__ = [
     "DomainError",
     "Factorization",
     "OracleBudget",
-    "SquareProfile",
     "count",
     "distinct_count_equal_coeffs",
     "distinct_count_gcd_condition",
@@ -81,8 +75,8 @@ __all__ = [
     "round_complex_to_int",
     "square_count",
     "square_indicator",
-    "square_profile",
     "square_solution_exists",
+    "squares",
     "state_count",
     "strict_order_count",
 ]

@@ -1,5 +1,5 @@
-"""The real Gauss sum modulo p^ell and the squares modulo n (membership
-and profiles).
+"""The real Gauss sum modulo p^ell and the squares modulo n (membership,
+and all of them in increasing order).
 
 The square counter needs one character: the real character modulo p^ell
 induced by the Legendre symbol of an odd prime p.  Its Gauss sum has the
@@ -14,7 +14,6 @@ import math
 
 from . import arith
 from .errors import DomainError
-from .model import FrozenValue
 
 
 def gauss_sum_real_prime_power(p: int, ell: int, m: int) -> complex:
@@ -57,21 +56,8 @@ def square_indicator(n: int, b: int) -> int:
     return 1
 
 
-class SquareProfile(FrozenValue):
-    """The squares modulo n: the set itself, its size s, and the number q of
-    quadratic residues (unit squares)."""
-
-    __slots__ = ("n", "square_set", "s", "q")
-
-    def __init__(self, n: int, square_set: frozenset[int], s: int, q: int):
-        for name, value in zip(self.__slots__, (n, square_set, s, q)):
-            object.__setattr__(self, name, value)
-
-
-def square_profile(n: int) -> SquareProfile:
-    """Enumerate x^2 mod n over a full residue system and tally s and q."""
+def squares(n: int) -> tuple[int, ...]:
+    """The squares modulo n (not necessarily units), in increasing order."""
     if n < 1:
-        raise DomainError(f"square_profile needs n >= 1, got {n}")
-    sq = frozenset(x * x % n for x in range(n))
-    q = sum(1 for x in sq if math.gcd(x, n) == 1)
-    return SquareProfile(n, sq, len(sq), q)
+        raise DomainError(f"squares needs n >= 1, got {n}")
+    return tuple(sorted({x * x % n for x in range(n)}))

@@ -124,7 +124,7 @@ class _Mode(NamedTuple):
     restriction: str | None  # a name of oracles.RESTRICTIONS; None for ramanujan
     verify_grid: Callable  # args -> [(n, params)] in lexicographic order
     golden: tuple  # (n, params, b, count) cases that selftest checks
-    count_budget: bool = False  # count's counter reads --budget (an oracle fallback)
+    count_budget: bool = False  # count's counter reads --budget (square's charge)
 
 
 def _parse_coeffs(args):
@@ -237,7 +237,7 @@ MODE_TABLE = {
             _moduli(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
         ),
         golden=((27, (None, (1, 1)), 1, 4), (9, (None, (1, 1)), 3, 0), (9, (None, (1, 1)), 2, 3)),
-        count_budget=True,  # even n falls back to the oracle
+        count_budget=True,  # charges 2^k subset products per residue, or at even n the oracle
     ),
     "strict": _Mode(
         parse=_parse_strict,
@@ -293,8 +293,9 @@ def build_parser() -> _Parser:
     # each command registers only the flags it reads, so a stray one is a usage error
     for p in (count, verify):
         p.add_argument("--mode", choices=MODES, default="all")
-        p.add_argument("--budget", type=int, help="most tuples an oracle may count per case or "
-                       f"count's fallback, charged first (default {OracleBudget.max_states})")
+        p.add_argument("--budget", type=int, help="most tuples an oracle may count, or subset "
+                       "products square's counter may form, per case or count, charged first "
+                       f"(default {OracleBudget.max_states})")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     count.add_argument("-n", type=int, help="modulus")
     count.add_argument("-k", type=int, help="number of variables")
@@ -523,9 +524,9 @@ def _selftest_checks():
     def check_square_membership():
         squares = [characters.square_indicator(27, b) for b in (1, 9, 0, 3, 2, 18)]
         assert squares == [1, 1, 1, 0, 0, 0]
-        assert characters.square_profile(9).square_set == frozenset({0, 1, 4, 7})
-        assert characters.square_profile(3).s == 2
-        assert characters.square_profile(27).s == 11
+        assert characters.squares(9) == (0, 1, 4, 7)
+        assert len(characters.squares(3)) == 2
+        assert len(characters.squares(27)) == 11
 
     def check_square_witnesses():
         witnesses = oracles.oracle_solutions(CongruenceSpec(27, (1, 1), 1), "square")

@@ -15,9 +15,10 @@ instance part once and returns the target part as a function of b, which
 holds what it reads: the engine's pairs (h, c_h), a target being one
 integer Ramanujan sum, sum c_h*C_h(b/f) / n; both possible results of
 the Lehmer and gcd-condition counts; per prime power of an odd n, the
-square terms T_i(m) and the roots of unity, or for an even n the oracle
-histogram, charged to the counter's budget at the first target; or the
-general block counter's orbit plan, with integer block weights, and roots.
+square terms T_i(m) and the roots of unity, with the 2^k subset products
+per residue charged to the counter's budget at the first target, or for an
+even n the oracle histogram, built and charged there; or the general block
+counter's orbit plan, with integer block weights, and roots.
 A route raises its DomainError when it is built, and a target only the
 BudgetExceededError or ConsistencyError it meets.  count(spec, restriction)
 is the counter at spec.b.
@@ -173,11 +174,12 @@ def square_count(
     instance's square counter at b.
 
     For odd n the count multiplies over the prime powers of n, each factor
-    evaluated by the Ramanujan/Gauss-sum expansion.  The expansion is proved
-    for odd n only, so even moduli route to the enumeration oracle and are
-    tagged as such.  That fallback is charged to ``budget`` (a default
-    OracleBudget when None) and raises BudgetExceededError when it does not
-    fit; odd moduli never touch the budget.
+    evaluated by the Ramanujan/Gauss-sum expansion, whose 2^k subset
+    products per residue are charged to ``budget`` (a default OracleBudget
+    when None).  The expansion is proved for odd n only, so even moduli
+    route to the enumeration oracle and are tagged as such; that fallback is
+    charged its histogram's states instead.  Either raises
+    BudgetExceededError when its charge does not fit.
     """
     return counter(spec, "square", budget)(spec.b)
 
@@ -199,65 +201,53 @@ def _square(spec: CongruenceSpec):
     return at
 
 
-def _verify_square_witness(spec: CongruenceSpec, witness: tuple[int, ...]) -> bool:
-    lhs = sum(a * x for a, x in zip(spec.coeffs, witness)) % spec.n
-    if lhs != spec.b:
-        return False
-    return all(characters.square_indicator(spec.n, x) for x in witness)
-
-
 def square_solution_exists(
     spec: CongruenceSpec, budget: OracleBudget | None = None
 ) -> tuple[bool, tuple[int, ...] | None]:
     """Decide existence of a square solution, with a witness when one exists.
 
-    For odd n, first tries the sufficient condition per prime power: when the
-    target is a unit and some sub-sum s of the coefficients is a unit in the
-    same quadratic class ((s/p) = (b/p)), the tuple assigning s^(-1)*b to that
-    subset and 0 elsewhere is a square solution mod that prime power; the
-    per-prime-power tuples are glued by CRT.  If the condition does not fire
-    everywhere, falls back to a budgeted oracle scan.  Returned witnesses are
-    always re-verified by substitution, so false positives are impossible.
+    A tuple of squares solves the congruence exactly when it does so modulo
+    every p^e exactly dividing n, so each prime power is solved alone: by
+    _square_witness_by_class for odd p and k <= 20, else (or when no subset
+    qualifies) by the first solution the oracle lists, charged to ``budget``
+    (a default OracleBudget per listing when None).  The answer is
+    (False, None) at the first prime power with no local solution; else the
+    local witnesses are glued by CRT and the witness is verified by
+    substitution, so a false positive is impossible.
     """
-    n = spec.n
-    if n % 2 == 1 and spec.k <= 20:
-        partial: list[tuple[int, tuple[int, ...]]] = []
-        for p, e in arith.factorize(n).factors:
-            mod = p**e
-            found = None
-            if spec.b % p:
-                target_class = arith.jacobi_symbol(spec.b % p, p)
-                for size in range(1, spec.k + 1):
-                    for subset in itertools.combinations(range(spec.k), size):
-                        s = sum(spec.coeffs[i] for i in subset) % mod
-                        if s % p == 0:
-                            continue
-                        if arith.jacobi_symbol(s % p, p) == target_class:
-                            val = pow(s, -1, mod) * spec.b % mod
-                            found = (mod, tuple(val if i in subset else 0 for i in range(spec.k)))
-                            break
-                    if found:
-                        break
-            if found is None:
-                partial = []
-                break
-            partial.append(found)
-        if partial:
-            witness = []
-            for i in range(spec.k):
-                residues = [(tup[i], mod) for mod, tup in partial]
-                witness.append(_crt(residues, n))
-            witness = tuple(witness)
-            if _verify_square_witness(spec, witness):
-                return True, witness
-            raise ConsistencyError(f"constructed witness {witness} failed verification")
-    hits = oracles.oracle_solutions(spec, "square", budget, limit=1)
-    if not hits:
-        return False, None
-    witness = hits[0]
-    if not _verify_square_witness(spec, witness):
-        raise ConsistencyError(f"oracle witness {witness} failed verification")
+    local_witnesses = []
+    for p, e in arith.factorize(spec.n).factors:
+        local = CongruenceSpec(p**e, spec.coeffs, spec.b)
+        found = _square_witness_by_class(local, p) if p > 2 and spec.k <= 20 else None
+        hits = [found] if found else oracles.oracle_solutions(local, "square", budget, limit=1)
+        if not hits:
+            return False, None
+        local_witnesses.append((p**e, hits[0]))
+    witness = tuple(_crt([(w[i], mod) for mod, w in local_witnesses], spec.n)
+                    for i in range(spec.k))
+    lhs = sum(a * x for a, x in zip(spec.coeffs, witness)) % spec.n
+    if lhs != spec.b or not all(characters.square_indicator(spec.n, x) for x in witness):
+        raise ConsistencyError(f"witness {witness} failed verification")
     return True, witness
+
+
+def _square_witness_by_class(local: CongruenceSpec, p: int) -> tuple[int, ...] | None:
+    """A square solution modulo the odd prime power local.n = p^e when the
+    target b is a unit: the first subset of positions (by size, then
+    lexicographic) whose coefficient sum s is a unit with (s/p) = (b/p)
+    takes the square s^(-1)*b, the other positions 0.  None when b is not a
+    unit or no subset qualifies."""
+    mod, b, coeffs = local.n, local.b, local.coeffs
+    if b % p == 0:
+        return None
+    target_class = arith.jacobi_symbol(b % p, p)
+    for size in range(1, local.k + 1):
+        for subset in itertools.combinations(range(local.k), size):
+            s = sum(coeffs[i] for i in subset) % mod
+            if s % p and arith.jacobi_symbol(s % p, p) == target_class:
+                val = pow(s, -1, mod) * b % mod
+                return tuple(val if i in subset else 0 for i in range(local.k))
+    return None
 
 
 def _crt(residues: list[tuple[int, int]], n: int) -> int:
@@ -510,15 +500,25 @@ def _distinct_route(spec: CongruenceSpec, _budget):
 
 
 def _square_route(spec: CongruenceSpec, budget: OracleBudget):
-    """_square for odd n; for even n the oracle fallback, its histogram
-    built at the first target and charged to ``budget`` once per counter.
-    A charge that fails leaves the budget unchanged and no histogram is
-    kept, so each later target meets the same BudgetExceededError."""
-    if spec.n % 2:
-        return _square(spec)
+    """_square for odd n, its 2^k subset products per residue of each p^e
+    exactly dividing n charged to ``budget``; for even n the oracle
+    fallback, its histogram charged instead.  Either charge is made once per
+    counter, at its first target.  A charge that fails leaves the budget
+    unchanged and allocates no 2^k arrays or histogram, so each later target
+    meets the same BudgetExceededError."""
     n = spec.n
-    histogram = cache(lambda: oracles.oracle_histogram(spec, "square", budget))
-    return lambda b: CountResult(histogram()[b % n], ORACLE_FALLBACK)
+    if n % 2 == 0:
+        histogram = cache(lambda: oracles.oracle_histogram(spec, "square", budget))
+        return lambda b: CountResult(histogram()[b % n], ORACLE_FALLBACK)
+    at = _square(spec)
+    products = 2**spec.k * sum(p**e for p, e in arith.factorize(n).factors)
+    charge = cache(partial(budget.charge, products))
+
+    def charged(b):
+        charge()
+        return at(b)
+
+    return charged
 
 
 # restriction -> route(spec, OracleBudget) -> the counter as a function of b
@@ -537,8 +537,9 @@ def counter(spec: CongruenceSpec | BlockSpec, restriction: str = "all",
     of the target b.  The work that does not read b is done here, once, and
     so is a DomainError (an unknown restriction, or an instance outside the
     route's closed form); a target raises the BudgetExceededError or
-    ConsistencyError it meets.  Square's oracle fallback (even n) is charged
-    to ``budget`` (a default OracleBudget when None), once per counter."""
+    ConsistencyError it meets.  Square's counter, subset expansion (odd n)
+    or oracle fallback (even n), is charged to ``budget`` (a default
+    OracleBudget when None), once per counter."""
     route = _ROUTES.get(restriction)
     if route is None or isinstance(spec, BlockSpec) != (restriction == "blocks"):
         raise DomainError(f"no restriction {restriction!r} for a {type(spec).__name__}")

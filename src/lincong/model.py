@@ -1,9 +1,9 @@
 """Domain types shared by the counters and the oracles.
 
-The frozen value types (the specs and CountResult here, arith.Factorization
-and characters.SquareProfile) are ``__slots__`` classes on FrozenValue: a
-frozen dataclass's equality, hash, repr and pickling by field, without the
-import cost of dataclasses that every run would pay.
+The frozen value types (the specs and CountResult here, and
+arith.Factorization) are ``__slots__`` classes on FrozenValue: a frozen
+dataclass's equality, hash, repr and pickling by field, without the import
+cost of dataclasses that every run would pay.
 """
 
 from __future__ import annotations

@@ -146,7 +146,7 @@ def _domain(n: int, restriction: str):
     """The residues one slot ranges over, in increasing order: all of
     [0, n), or the squares mod n."""
     if restriction == "square":
-        return sorted(characters.square_profile(n).square_set)
+        return characters.squares(n)
     return range(n)
 
 

@@ -176,7 +176,7 @@ def test_07_machinery_identities():
                 assert abs(gauss - literal) < 1e-6, (p, ell, m)
                 # square-indicator decomposition: the literal sum over the squares
                 # is 1 + (1/2) * sum over even j < ell of (C + G) mod p^(ell-j)
-                lhs = sum(e(x * m, mod) for x in characters.square_profile(mod).square_set)
+                lhs = sum(e(x * m, mod) for x in characters.squares(mod))
                 rhs = 1 + sum(
                     arith.ramanujan_sum(p ** (ell - j), m)
                     + characters.gauss_sum_real_prime_power(p, ell - j, m)
@@ -197,22 +197,21 @@ def test_07_machinery_identities():
                 for i in range(d + 1):
                     rhs[i * n // d] = (-1) ** i * math.comb(d, i)
                 assert max(abs(x - y) for x, y in zip(lhs, rhs)) < 1e-6, (n, a, m)
-    # s/q multiplicativity and the prime-power recursion
+    # s/q multiplicativity and the prime-power recursion, with s(n) the
+    # number of squares mod n and q(n) the number of them that are units
+    def s_and_q(n):
+        square_set = characters.squares(n)
+        return len(square_set), sum(1 for x in square_set if math.gcd(x, n) == 1)
+
     for n1 in range(1, 51):
         for n2 in range(n1, 51):
             if math.gcd(n1, n2) == 1:
-                a, b, c = (
-                    characters.square_profile(n1),
-                    characters.square_profile(n2),
-                    characters.square_profile(n1 * n2),
-                )
-                assert c.s == a.s * b.s and c.q == a.q * b.q
+                (s1, q1), (s2, q2), (s12, q12) = s_and_q(n1), s_and_q(n2), s_and_q(n1 * n2)
+                assert s12 == s1 * s2 and q12 == q1 * q2
     for p in (3, 5, 7):
         for r in range(3, 6):
-            assert (
-                characters.square_profile(p**r).s
-                == characters.square_profile(p**r).q + characters.square_profile(p ** (r - 2)).s
-            )
+            s_r, q_r = s_and_q(p**r)
+            assert s_r == q_r + s_and_q(p ** (r - 2))[0]
     elapsed = time.perf_counter() - t0
     report(7, "machinery identities", f"{elapsed:.1f}s")
 

@@ -10,7 +10,7 @@ from lincong import arith
 from lincong.characters import (
     gauss_sum_real_prime_power,
     square_indicator,
-    square_profile,
+    squares,
 )
 
 SQRT3 = math.sqrt(3)
@@ -109,12 +109,15 @@ def test_square_indicator_matches_scan():
             assert square_indicator(n, b) == (1 if b in scan else 0)
 
 
+def unit_squares(n):
+    """q(n), the number of squares modulo n that are units."""
+    return sum(1 for x in squares(n) if math.gcd(x, n) == 1)
+
+
 def test_square_profile_examples():
-    assert square_profile(3).s == 2
-    prof9 = square_profile(9)
-    assert prof9.square_set == frozenset({0, 1, 4, 7}) and prof9.s == 4
-    prof27 = square_profile(27)
-    assert prof27.s == 11 and prof27.s == prof27.q + square_profile(3).s
+    assert len(squares(3)) == 2
+    assert squares(9) == (0, 1, 4, 7)
+    assert len(squares(27)) == 11 == unit_squares(27) + len(squares(3))
 
 
 def test_square_profile_multiplicative():
@@ -122,17 +125,14 @@ def test_square_profile_multiplicative():
         for n2 in range(n1, 51):
             if math.gcd(n1, n2) != 1:
                 continue
-            a, b, c = square_profile(n1), square_profile(n2), square_profile(n1 * n2)
-            assert c.s == a.s * b.s
-            assert c.q == a.q * b.q
+            assert len(squares(n1 * n2)) == len(squares(n1)) * len(squares(n2))
+            assert unit_squares(n1 * n2) == unit_squares(n1) * unit_squares(n2)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_square_count_recursion(p):
     for r in range(3, 6):
-        s_r = square_profile(p**r)
-        s_prev = square_profile(p ** (r - 2))
-        assert s_r.s == s_r.q + s_prev.s
+        assert len(squares(p**r)) == unit_squares(p**r) + len(squares(p ** (r - 2)))
 
 
 def square_decomposition(p, ell, m):
@@ -140,7 +140,7 @@ def square_decomposition(p, ell, m):
     literal sum of e(x*m/p^ell) over the squares x, and
     1 + (1/2) * sum over even j < ell of (C_{p^(ell-j)}(m) + G_{p^(ell-j)}(m))."""
     mod = p**ell
-    lhs = sum(e(x * m, mod) for x in square_profile(mod).square_set)
+    lhs = sum(e(x * m, mod) for x in squares(mod))
     rhs = 1 + sum(
         arith.ramanujan_sum(p ** (ell - j), m) + gauss_sum_real_prime_power(p, ell - j, m)
         for j in range(0, ell, 2)

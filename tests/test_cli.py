@@ -122,12 +122,15 @@ def test_usage_errors_exit_2(capsys):
 
 
 def test_count_refuses_budget_where_nothing_reads_it(capsys):
-    # only square's even-n oracle fallback reads --budget; the counters of
-    # the other modes are exact formulas with no oracle to bound
+    # only square's counter reads --budget: at n = 9, k = 2 it charges its
+    # 2**2 * 9 = 36 subset products; the counters of the other modes are
+    # exact formulas with nothing to bound
     for mode in cli.MODES:
         count_args, _ = COUNT_IN_VERIFY[mode]
-        code, out, err = run_cli(["count", "--mode", mode, *count_args, "--budget", "1"], capsys)
+        code, out, err = run_cli(["count", "--mode", mode, *count_args, "--budget", "35"], capsys)
         if mode == "square":
+            assert (code, out) == (2, "") and "budget exceeded" in err, mode
+            code, out, _ = run_cli(["count", "--mode", mode, *count_args, "--budget", "36"], capsys)
             assert code == 0 and json_lines(out)[0]["count"] == 3, mode
         else:
             assert (code, out) == (2, "") and f"mode {mode} takes no --budget" in err, mode

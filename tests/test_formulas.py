@@ -8,6 +8,8 @@ error contracts, and a small oracle sweep.
 import itertools
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -150,7 +152,9 @@ def test_square_solution_exists_examples():
 
 
 def test_square_solution_exists_never_lies():
-    for n in (3, 9, 15, 27, 45):
+    # odd and even moduli, one prime power or several; every witness is
+    # substituted and each of its coordinates checked to be a square
+    for n in (3, 9, 15, 27, 45, 8, 12, 20, 36, 60, 63):
         for k in (1, 2, 3):
             for coeffs in itertools.combinations_with_replacement((1, 2, 3), k):
                 hist = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "square")
@@ -161,6 +165,62 @@ def test_square_solution_exists_never_lies():
                     if ok:
                         total = sum(a * x for a, x in zip(coeffs, witness)) % n
                         assert total == b
+                        assert all(characters.square_indicator(n, x) for x in witness)
+                    else:
+                        assert witness is None
+
+
+def test_square_solution_exists_is_local():
+    # 30021 = 3 * 10007: each prime power is solved alone, where a scan of
+    # the whole modulus would be charged 10008**3 > 10**8 tuples
+    ok, witness = formulas.square_solution_exists(CongruenceSpec(30021, (1, 1, 1), 3))
+    assert ok and sum(witness) % 30021 == 3
+    assert all(characters.square_indicator(30021, x) for x in witness)
+    # n = 45, b = 21: b is 0 mod 3, so mod 9 the class condition cannot fire
+    # and the oracle lists (1, 1, 1) first; mod 5 the unit b = 1 takes the
+    # first position alone, (1, 0, 0); CRT glues them to (1, 10, 10)
+    assert formulas.square_solution_exists(CongruenceSpec(45, (1, 1, 1), 21)) == (True, (1, 10, 10))
+    # a local oracle listing is charged to the budget it is given: mod 9 it
+    # lists the 4**3 triples of squares
+    budget = OracleBudget(4**3 - 1)
+    with pytest.raises(BudgetExceededError):
+        formulas.square_solution_exists(CongruenceSpec(45, (1, 1, 1), 21), budget)
+    budget = OracleBudget(4**3)
+    assert formulas.square_solution_exists(CongruenceSpec(45, (1, 1, 1), 21), budget)[0]
+    assert budget.used == 4**3
+
+
+def test_square_counter_charges_its_subset_products():
+    # odd n: 2**k subset products per residue of each prime power, charged
+    # once per counter, at its first target; a refused charge keeps nothing
+    # and comes before any 2**k array
+    budget = OracleBudget(10**5)
+    with pytest.raises(BudgetExceededError):
+        formulas.square_count(CongruenceSpec(3, (1,) * 18, 1), budget)
+    assert budget.used == 0
+    spec = CongruenceSpec(3, (1, 2), 0)
+    budget = OracleBudget(2**2 * 3)
+    count_at = formulas.counter(spec, "square", budget)
+    assert [count_at(b).count for b in range(3)] == oracles.oracle_histogram(spec, "square")
+    assert budget.used == 2**2 * 3
+    short = OracleBudget(2**2 * 3 - 1)
+    count_at = formulas.counter(spec, "square", short)
+    for b in range(3):
+        with pytest.raises(BudgetExceededError):
+            count_at(b)
+    assert short.used == 0
+    # 2**25 * 3 > 10**8: the default budget refuses k = 25 at once, where the
+    # subset loop would allocate two arrays of 2**25 doubles per target
+    tracemalloc.start()
+    try:
+        t0 = time.perf_counter()
+        with pytest.raises(BudgetExceededError):
+            formulas.square_count(CongruenceSpec(3, (1,) * 25, 1))
+        elapsed = time.perf_counter() - t0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert elapsed < 1 and peak < 2**20, (elapsed, peak)
 
 
 def test_strict_order_examples():

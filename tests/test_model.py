@@ -1,6 +1,6 @@
 """The value types: equality, hashing, repr, immutability and pickling of
-the specs, results, factorizations and square profiles, and the budget's
-semantics.  Their validation is tested beside the code that uses them."""
+the specs, results and factorizations, and the budget's semantics.  Their
+validation is tested beside the code that uses them."""
 
 import copy
 import pickle
@@ -8,7 +8,6 @@ import pickle
 import pytest
 
 from lincong.arith import Factorization, factorize
-from lincong.characters import SquareProfile, square_profile
 from lincong.errors import BudgetExceededError, DomainError
 from lincong.model import BlockSpec, CongruenceSpec, CountResult, OracleBudget
 
@@ -43,15 +42,8 @@ FROZEN = [
         "Factorization(n=12, factors=((2, 2), (3, 1)))",
         "factors",
     ),
-    (
-        lambda: square_profile(5),
-        lambda: SquareProfile(5, frozenset({0, 1, 4}), 3, 2),
-        SquareProfile(5, frozenset({0, 1, 4}), 3, 1),
-        "SquareProfile(n=5, square_set=frozenset({0, 1, 4}), s=3, q=2)",
-        "q",
-    ),
 ]
-IDS = ["CongruenceSpec", "BlockSpec", "CountResult", "Factorization", "SquareProfile"]
+IDS = ["CongruenceSpec", "BlockSpec", "CountResult", "Factorization"]
 
 
 @pytest.mark.parametrize("make, make_again, other, text, field", FROZEN, ids=IDS)

@@ -292,7 +292,7 @@ def test_gf_weak_blocks_cross_check():
 
 
 def test_oracle_square_against_reference():
-    # the square set is recomputed here, apart from characters.square_profile
+    # the square set is recomputed here, apart from characters.squares
     for n in (3, 5, 8, 9, 12, 15, 27):
         squares = sorted({x * x % n for x in range(n)})
         for k in (1, 2, 3):
