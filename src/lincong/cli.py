@@ -294,8 +294,8 @@ def build_parser() -> _Parser:
     for p in (count, verify):
         p.add_argument("--mode", choices=MODES, default="all")
         p.add_argument("--budget", type=int, help="most tuples an oracle may count, or subset "
-                       "products square's counter may form, per case or count, charged first "
-                       f"(default {OracleBudget.max_states})")
+                       "products square's counter may form, per case or count, charged before "
+                       f"either is built (default {OracleBudget.max_states})")
         p.add_argument("--format", choices=("json", "csv"), default="json")
     count.add_argument("-n", type=int, help="modulus")
     count.add_argument("-k", type=int, help="number of variables")
@@ -423,43 +423,36 @@ def cmd_count(args) -> int:
 # verify
 
 
-def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int, int, int, float]:
+def _case_rows(case: tuple) -> tuple[dict, list[tuple] | None, int, int]:
     """Run one verify case (mode name, n, params, budget): one oracle
-    histogram checks the counter at every target b.  The oracle and the
-    counter each get an OracleBudget of the case's size.  Returns the
-    fields all rows share (mode, n, and k, a or blocks), one tuple (b,
-    count, method, residual, wall_time_ns, oracle_count, match) per target
-    as Emitter.case takes them, the nanoseconds of building the counter, of
-    the counter calls and of the oracle, the rows that do not match and the
-    largest residual (a case over budget: its skip record, None, the
-    build's nanoseconds, then 0, 0, 0 and 0.0)."""
+    histogram checks the counter at every target b.  The counter and the
+    oracle each get an OracleBudget of the case's size, and either refuses
+    a case past it when it is built, the counter first; a built counter
+    meets no budget at a target.  Returns the fields all rows share (mode,
+    n, and k, a or blocks), one tuple (b, count, method, residual,
+    wall_time_ns, oracle_count, match) per target as Emitter.case takes
+    them, and the nanoseconds of building the counter and of the oracle (a
+    case over budget: its skip record, None, 0 and 0)."""
     name, n, params, max_states = case
     mode = MODE_TABLE[name]
-    fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
-    del fixed["b"]  # each row writes its own b after the shared fields
-    t0 = time.perf_counter_ns()
-    spec, count_at = _instance(mode, n, params, OracleBudget(max_states))
-    build_ns = time.perf_counter_ns() - t0
-    rows, formula_ns, mismatches, worst = [], 0, 0, 0.0
     try:
         t0 = time.perf_counter_ns()
+        spec, count_at = _instance(mode, n, params, OracleBudget(max_states))
+        t1 = time.perf_counter_ns()
         hist = (ramanujan_divisor_form(n) if mode.restriction is None
                 else oracles.oracle_histogram(spec, mode.restriction, OracleBudget(max_states)))
-        oracle_ns = time.perf_counter_ns() - t0
-        for b in range(n):
-            t0 = time.perf_counter_ns()
-            res = count_at(b)
-            ns = time.perf_counter_ns() - t0
-            formula_ns += ns
-            count, residual, oracle = res.count, res.residual, hist[b]
-            mismatches += count != oracle
-            if residual > worst:
-                worst = residual
-            rows.append((b, count, res.method, residual, ns, oracle, count == oracle))
+        build_ns, oracle_ns = t1 - t0, time.perf_counter_ns() - t1
     except BudgetExceededError as exc:
-        skip = {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}
-        return skip, None, build_ns, 0, 0, 0, 0.0
-    return fixed, rows, build_ns, formula_ns, oracle_ns, mismatches, worst
+        return {"mode": name, "n": n, "status": "skipped", "detail": str(exc)}, None, 0, 0
+    fixed = {"mode": name, "n": n, **mode.fields(n, params, 0)}
+    del fixed["b"]  # each row writes its own b after the shared fields
+    rows = []
+    for b in range(n):
+        t0 = time.perf_counter_ns()
+        res = count_at(b)
+        ns = time.perf_counter_ns() - t0
+        rows.append((b, res.count, res.method, res.residual, ns, hist[b], res.count == hist[b]))
+    return fixed, rows, build_ns, oracle_ns
 
 
 def cmd_verify(args) -> int:
@@ -476,18 +469,19 @@ def cmd_verify(args) -> int:
             outcomes = list(pool.map(_case_rows, cases, chunksize=8))
     else:
         outcomes = map(_case_rows, cases)
-    for fixed, rows, case_build_ns, case_formula_ns, case_oracle_ns, misses, worst in outcomes:
-        build_ns += case_build_ns
+    for fixed, rows, case_build_ns, case_oracle_ns in outcomes:
         if rows is None:
             emitter.record(fixed)
             skipped += 1
             continue
         emitter.case(fixed, rows)
         total_rows += len(rows)
-        mismatches += misses
-        max_residual = max(max_residual, worst)
-        formula_ns += case_formula_ns
+        build_ns += case_build_ns
         oracle_ns += case_oracle_ns
+        *_, residuals, times, _, matches = zip(*rows)
+        formula_ns += sum(times)
+        mismatches += matches.count(False)
+        max_residual = max(max_residual, *residuals)
     emitter.summary({"cases": total_rows, "mismatches": mismatches, "skipped": skipped,
                      "max_residual": max_residual, "formula_s": formula_ns / 1e9,
                      "oracle_s": oracle_ns / 1e9, "build_s": build_ns / 1e9})

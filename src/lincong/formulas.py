@@ -15,13 +15,13 @@ instance part once and returns the target part as a function of b, which
 holds what it reads: the engine's pairs (h, c_h), a target being one
 integer Ramanujan sum, sum c_h*C_h(b/f) / n; both possible results of
 the Lehmer and gcd-condition counts; per prime power of an odd n, the
-square terms T_i(m) and the roots of unity, with the 2^k subset products
-per residue charged to the counter's budget at the first target, or for an
+square terms T_i(m) and the roots of unity, the 2^k subset products per
+residue charged to the counter's budget before they are built, or for an
 even n the oracle histogram, built and charged there; or the general block
 counter's orbit plan, with integer block weights, and roots.
-A route raises its DomainError when it is built, and a target only the
-BudgetExceededError or ConsistencyError it meets.  count(spec, restriction)
-is the counter at spec.b.
+A route raises its DomainError or BudgetExceededError when it is built, and
+a target only the ConsistencyError of a float route.  count(spec,
+restriction) is the counter at spec.b.
 
 A named counter (lehmer_count, strict_order_count, square_count, ...) is
 its instance's counter at b, from the same builder that _ROUTES calls, so
@@ -41,7 +41,7 @@ from __future__ import annotations
 import itertools
 import math
 from array import array
-from functools import cache, lru_cache, partial
+from functools import lru_cache, partial
 from operator import add
 
 from . import arith, characters, oracles
@@ -178,8 +178,8 @@ def square_count(
     products per residue are charged to ``budget`` (a default OracleBudget
     when None).  The expansion is proved for odd n only, so even moduli
     route to the enumeration oracle and are tagged as such; that fallback is
-    charged its histogram's states instead.  Either raises
-    BudgetExceededError when its charge does not fit.
+    charged its histogram's tuples instead.  Either raises
+    BudgetExceededError, before the counter is built, when it does not fit.
     """
     return counter(spec, "square", budget)(spec.b)
 
@@ -501,24 +501,15 @@ def _distinct_route(spec: CongruenceSpec, _budget):
 
 def _square_route(spec: CongruenceSpec, budget: OracleBudget):
     """_square for odd n, its 2^k subset products per residue of each p^e
-    exactly dividing n charged to ``budget``; for even n the oracle
-    fallback, its histogram charged instead.  Either charge is made once per
-    counter, at its first target.  A charge that fails leaves the budget
-    unchanged and allocates no 2^k arrays or histogram, so each later target
-    meets the same BudgetExceededError."""
+    exactly dividing n charged to ``budget`` before any part is built; for
+    even n the oracle fallback, its histogram built and charged here.  A
+    refused charge leaves the budget unchanged and builds nothing."""
     n = spec.n
     if n % 2 == 0:
-        histogram = cache(lambda: oracles.oracle_histogram(spec, "square", budget))
-        return lambda b: CountResult(histogram()[b % n], ORACLE_FALLBACK)
-    at = _square(spec)
-    products = 2**spec.k * sum(p**e for p, e in arith.factorize(n).factors)
-    charge = cache(partial(budget.charge, products))
-
-    def charged(b):
-        charge()
-        return at(b)
-
-    return charged
+        histogram = oracles.oracle_histogram(spec, "square", budget)
+        return lambda b: CountResult(histogram[b % n], ORACLE_FALLBACK)
+    budget.charge(2**spec.k * sum(p**e for p, e in arith.factorize(n).factors))
+    return _square(spec)
 
 
 # restriction -> route(spec, OracleBudget) -> the counter as a function of b
@@ -535,11 +526,11 @@ def counter(spec: CongruenceSpec | BlockSpec, restriction: str = "all",
             budget: OracleBudget | None = None):
     """The count of ``spec``'s instance under ``restriction`` as a function
     of the target b.  The work that does not read b is done here, once, and
-    so is a DomainError (an unknown restriction, or an instance outside the
-    route's closed form); a target raises the BudgetExceededError or
-    ConsistencyError it meets.  Square's counter, subset expansion (odd n)
-    or oracle fallback (even n), is charged to ``budget`` (a default
-    OracleBudget when None), once per counter."""
+    so is every refusal: a DomainError (an unknown restriction, or an instance
+    outside the route's closed form) or square's BudgetExceededError, whose
+    charge (subset expansion at odd n, oracle fallback at even n) goes to
+    ``budget`` (a default OracleBudget when None) before any of the counter is
+    built.  A target raises only the ConsistencyError of a float route."""
     route = _ROUTES.get(restriction)
     if route is None or isinstance(spec, BlockSpec) != (restriction == "blocks"):
         raise DomainError(f"no restriction {restriction!r} for a {type(spec).__name__}")

@@ -119,10 +119,10 @@ class CountResult(FrozenValue):
 
 
 class OracleBudget:
-    """Budget for the oracle histograms, in tuples counted.  ``charge`` is
-    called with the number of tuples a restriction admits (a "state" each,
-    oracles.state_count) before the histogram is built, so the budget can
-    never be exceeded mid-run and failed calls never return partial counts."""
+    """Budget for the tuples an oracle counts (a "state" each,
+    oracles.state_count) and the 2^k subset products per residue of square's
+    odd-n counter.  ``charge`` is called before that work starts, so the budget
+    can never be exceeded mid-run and failed calls never return partial counts."""
 
     max_states: int = 10**8  # the default, read by the CLI
 
@@ -140,10 +140,8 @@ class OracleBudget:
 
     def charge(self, states: int) -> None:
         if states < 0:
-            raise DomainError("state count cannot be negative")
+            raise DomainError("a charge cannot be negative")
         if self.used + states > self.max_states:
-            raise BudgetExceededError(
-                f"{states} states needed, {self.max_states - self.used} left "
-                f"of {self.max_states}"
-            )
+            left, total = self.max_states - self.used, self.max_states
+            raise BudgetExceededError(f"charge of {states} exceeds the {left} left of {total}")
         self.used += states

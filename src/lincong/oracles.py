@@ -22,7 +22,6 @@ and no slot carries into the next.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from . import characters
@@ -127,7 +126,10 @@ def oracle_solutions(
     """The solutions themselves in lexicographic order, for witness listings:
     all of them, or the first ``limit`` (at least 0).  Supports the
     unordered restrictions (every slot draws from one domain); counting
-    under the ordered restrictions goes through the histograms."""
+    under the ordered restrictions goes through the histograms.  state_count
+    is charged first.  The walk fills the positions left to right, entering a
+    value only when the packed histogram of the later positions reaches the
+    rest of the target, so every value entered leads to a solution."""
     _check_restriction(restriction)
     if restriction not in ("all", "square"):
         raise DomainError(f"solution listing not supported for {restriction!r}")
@@ -137,9 +139,21 @@ def oracle_solutions(
         budget = OracleBudget()
     total, domain = _admitted(spec, restriction)
     budget.charge(total)
-    tuples = itertools.product(domain, repeat=spec.k)
-    hits = (t for t in tuples if sum(a * x for a, x in zip(spec.coeffs, t)) % spec.n == spec.b)
-    return list(itertools.islice(hits, limit))
+    n, width = spec.n, (total.bit_length() + 7) // 8
+    after = [1]  # after[i]: the packed histogram of the positions after i, as n*W bytes
+    for a in spec.coeffs[:0:-1]:
+        after.append(_convolve(n, width, [after[-1], _count_vector(n, width, a, domain)]))
+    after = [v.to_bytes(n * width, "little") for v in reversed(after)]
+    hits, stack = [], [((), spec.b)]  # (prefix, the rest of the target) to enter, last first
+    while stack and (limit is None or len(hits) < limit):
+        prefix, rest = stack.pop()
+        i = len(prefix)
+        if i == spec.k:
+            hits.append(prefix)
+            continue
+        rests = ((x, (rest - spec.coeffs[i] * x) % n) for x in reversed(domain))
+        stack += [(prefix + (x,), r) for x, r in rests if any(after[i][r * width:(r + 1) * width])]
+    return hits
 
 
 def _domain(n: int, restriction: str):

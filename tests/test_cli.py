@@ -159,6 +159,12 @@ def test_budget_error_exit_2(capsys):
         ["count", "--mode", "square", "-n", "8", "-a", "1,1", "-b", "2", "--budget", "1"], capsys
     )
     assert code == 2 and "budget" in err
+    # square's odd-n counter charges 2**25 * 3 subset products, not oracle
+    # states: the refusal gives the charge, what is left and the total, in no unit
+    ones = ",".join(["1"] * 25)
+    code, out, err = run_cli(["count", "--mode", "square", "-n", "3", "-a", ones, "-b", "1"], capsys)
+    assert (code, out) == (2, "") and "states" not in err
+    assert err == "budget exceeded: charge of 100663296 exceeds the 100000000 left of 100000000\n"
 
 
 def test_consistency_error_exit_3(capsys, monkeypatch):
@@ -322,7 +328,7 @@ def test_grids_honour_n_max(capsys):
     assert run_cli(["verify", "--mode", "all", "--n-list", "0,3"], capsys)[0] == 2
 
 
-def test_verify_budget_skips(capsys):
+def test_verify_budget_skips(capsys, monkeypatch):
     code, out, _ = run_cli(
         ["verify", "--mode", "strict", "--n-max", "8", "--k-max", "3", "--budget", "5"], capsys
     )
@@ -331,6 +337,18 @@ def test_verify_budget_skips(capsys):
     summary = records[-1]
     assert summary["skipped"] > 0
     assert any(rec.get("status") == "skipped" for rec in records[:-1])
+    # at n = 9 the square counter charges 2**k * 9: the 10 cases at k = 2
+    # (36 > 20) are refused when their counter is built, where the oracle's
+    # 4**2 = 16 tuples would fit, so only the 4 cases at k = 1 build an oracle
+    inner, calls = oracles.oracle_histogram, []
+    monkeypatch.setattr(oracles, "oracle_histogram", lambda *args: calls.append(args) or inner(*args))
+    argv = ["verify", "--mode", "square", "--n-list", "9", "--k-max", "2", "--budget", "20"]
+    code, out, _ = run_cli(argv, capsys)
+    *records, summary = json_lines(out)
+    assert code == 0 and (summary["cases"], summary["skipped"], summary["mismatches"]) == (36, 10, 0)
+    assert len(calls) == 4
+    skips = [rec for rec in records if rec.get("status") == "skipped"]
+    assert len(skips) == 10 and all(rec["detail"].startswith("charge of 36 ") for rec in skips)
 
 
 def test_verify_detects_mismatch(capsys, monkeypatch):

@@ -90,7 +90,7 @@ def test_one_square_fallback_and_one_budget_rule(monkeypatch):
     res = formulas.square_count(CongruenceSpec(8, (1, 1), 2), budget)
     assert res == CountResult(1, ORACLE_FALLBACK) and budget.used == 9
     # a sweep builds one histogram and charges it once; a budget one state
-    # short fails at every target and keeps no charge
+    # short refuses the counter when it is built and keeps no charge
     histogram, calls = oracles.oracle_histogram, []
     monkeypatch.setattr(oracles, "oracle_histogram",
                         lambda *args: calls.append(args) or histogram(*args))
@@ -101,10 +101,8 @@ def test_one_square_fallback_and_one_budget_rule(monkeypatch):
     assert [count_at(b).count for b in range(12)] == histogram(spec, "square")
     assert len(calls) == 1 and budget.used == states
     short = OracleBudget(states - 1)
-    count_at = formulas.counter(spec, "square", short)
-    for b in range(12):
-        with pytest.raises(BudgetExceededError):
-            count_at(b)
+    with pytest.raises(BudgetExceededError):
+        formulas.counter(spec, "square", short)
     assert short.used == 0
 
 
@@ -192,7 +190,7 @@ def test_square_solution_exists_is_local():
 
 def test_square_counter_charges_its_subset_products():
     # odd n: 2**k subset products per residue of each prime power, charged
-    # once per counter, at its first target; a refused charge keeps nothing
+    # once per counter, when it is built; a refused charge keeps nothing
     # and comes before any 2**k array
     budget = OracleBudget(10**5)
     with pytest.raises(BudgetExceededError):
@@ -204,10 +202,8 @@ def test_square_counter_charges_its_subset_products():
     assert [count_at(b).count for b in range(3)] == oracles.oracle_histogram(spec, "square")
     assert budget.used == 2**2 * 3
     short = OracleBudget(2**2 * 3 - 1)
-    count_at = formulas.counter(spec, "square", short)
-    for b in range(3):
-        with pytest.raises(BudgetExceededError):
-            count_at(b)
+    with pytest.raises(BudgetExceededError):
+        formulas.counter(spec, "square", short)
     assert short.used == 0
     # 2**25 * 3 > 10**8: the default budget refuses k = 25 at once, where the
     # subset loop would allocate two arrays of 2**25 doubles per target
@@ -221,6 +217,26 @@ def test_square_counter_charges_its_subset_products():
     finally:
         tracemalloc.stop()
     assert elapsed < 1 and peak < 2**20, (elapsed, peak)
+
+
+def test_refused_square_counter_builds_nothing(monkeypatch):
+    # 2**2 * 9 = 36 subset products do not fit a budget of 35: the counter
+    # is refused before a single square term is built, and keeps no charge
+    inner, calls = formulas._square_term, []
+    monkeypatch.setattr(formulas, "_square_term", lambda *args: calls.append(args) or inner(*args))
+    budget = OracleBudget(35)
+    with pytest.raises(BudgetExceededError):
+        formulas.counter(CongruenceSpec(9, (1, 2), 0), "square", budget)
+    assert calls == [] and budget.used == 0
+
+
+def test_square_solution_exists_answers_no_without_a_walk():
+    # mod 243 no tuple of squares hits 91: the listing ends after one pass
+    # over the first position's domain, where a walk of every tuple would
+    # visit 92**4 of them
+    t0 = time.perf_counter()
+    assert formulas.square_solution_exists(CongruenceSpec(243, (12, 134, 54, 165), 91)) == (False, None)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_strict_order_examples():
@@ -869,8 +885,8 @@ def test_counter_matches_named_counters():
     for _ in range(2):
         with pytest.raises(ConsistencyError):
             count_at(1)
-    budget = OracleBudget(oracles.state_count(CongruenceSpec(8, (1, 3), 0), "square") - 1)
-    count_at = formulas.counter(CongruenceSpec(8, (1, 3), 0), "square", budget)
-    for b in (0, 1):
-        with pytest.raises(BudgetExceededError):
-            count_at(b)
+    # a BudgetExceededError, too, is raised when the counter is built
+    short = OracleBudget(oracles.state_count(CongruenceSpec(8, (1, 3), 0), "square") - 1)
+    with pytest.raises(BudgetExceededError):
+        formulas.counter(CongruenceSpec(8, (1, 3), 0), "square", short)
+    assert short.used == 0

@@ -12,7 +12,7 @@ import random
 
 import pytest
 
-from lincong import formulas, oracles
+from lincong import characters, formulas, oracles
 from lincong.errors import BudgetExceededError, DomainError
 from lincong.model import BlockSpec, CongruenceSpec, OracleBudget
 
@@ -164,6 +164,26 @@ def test_oracle_solutions_limit():
     with pytest.raises(DomainError):
         oracles.oracle_solutions(spec, "square", budget, limit=-3)
     assert budget.used == 0
+
+
+def test_oracle_solutions_match_a_filter_of_every_tuple():
+    # the pruned walk lists exactly the tuples a filter of itertools.product
+    # keeps, in its order, for every target and limit (34804 listings); at
+    # even n the coefficient 2 leaves targets with no solution
+    for n in (*range(1, 40), 45, 64, 81):
+        for restriction, domain in (("square", characters.squares(n)), ("all", range(n))):
+            for k in (1, 2, 3):
+                if len(domain) ** k > (1000 if restriction == "square" else 300):
+                    continue
+                for coeffs in itertools.combinations_with_replacement(sorted({2, n - 1}), k):
+                    listed = [[] for _ in range(n)]
+                    for tup in itertools.product(domain, repeat=k):
+                        listed[sum(a * x for a, x in zip(coeffs, tup)) % n].append(tup)
+                    for b in range(n):
+                        spec = CongruenceSpec(n, coeffs, b)
+                        for limit in (None, 0, 1, 3):
+                            got = oracles.oracle_solutions(spec, restriction, limit=limit)
+                            assert got == listed[b][:limit], (spec, restriction, limit)
 
 
 def test_representative_independence():
