@@ -12,16 +12,16 @@ table, _ROUTES, sends all, square and blocks to their counters; strict-order,
 for equal coefficients only, to the engine; distinct to k! times it for
 equal coefficients, else to the gcd-condition form.  The route builds the
 instance part once and returns the target part as a function of b, which
-holds what it reads: the engine's pairs (h, c_h), a target being one
-integer Ramanujan sum, sum c_h*C_h(b/f) / n; both possible results of
-the Lehmer and gcd-condition counts; per prime power of an odd n, the
-square terms T_i(m) and the roots of unity, the 2^k subset products per
+holds what it reads.  An exact counter (Lehmer, the engine, the
+gcd-condition form) is a table of results by gcd class, _by_class, so a
+target is one lookup.  A float counter holds, per prime power of an odd n,
+the square terms T_i(m) and the roots of unity, the 2^k subset products per
 residue charged to the counter's budget before they are built, or for an
 even n the oracle histogram, built and charged there; or the general block
-counter's orbit plan, with integer block weights, and roots.
-A route raises its DomainError or BudgetExceededError when it is built, and
-a target only the ConsistencyError of a float route.  count(spec,
-restriction) is the counter at spec.b.
+counter's orbit plan, with integer block weights, and roots.  A route
+raises its DomainError, BudgetExceededError or (exact) ConsistencyError
+when it is built, and a target only the ConsistencyError of a float route.
+count(spec, restriction) is the counter at spec.b.
 
 A named counter (lehmer_count, strict_order_count, square_count, ...) is
 its instance's counter at b, from the same builder that _ROUTES calls, so
@@ -56,12 +56,9 @@ from .model import (
 )
 
 
-_ZERO = CountResult(0, FORMULA)
-
-
-# Counters each cached builder keeps.  An engine counter holds tau(G) pairs
-# at most; a mixed-gcd block counter holds its orbit plan and n roots, O(n)
-# values (about 15 MiB at n = 200000), which stay cached after the sweep.
+# Counters each cached builder keeps.  An engine counter holds tau(G) results
+# by gcd class; a mixed-gcd block counter holds its orbit plan and n roots,
+# O(n) values (about 15 MiB at n = 200000), which stay cached after the sweep.
 _INSTANCE_CACHE_SIZE = 2
 
 
@@ -74,13 +71,15 @@ def lehmer_count(spec: CongruenceSpec) -> CountResult:
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _lehmer(n: int, coeffs: tuple[int, ...]):
     g = math.gcd(n, *coeffs)
-    return _by_divisibility(g, 0, g * n ** (len(coeffs) - 1))
+    return _by_class(g, 1, {1: g * n ** (len(coeffs) - 1)})
 
 
-def _by_divisibility(g: int, miss: int, hit: int):
-    """The counter that gives ``miss`` at the targets g does not divide, else ``hit``."""
-    miss, hit = CountResult(miss, FORMULA), CountResult(hit, FORMULA)
-    return lambda b: miss if b % g else hit
+def _by_class(f: int, g: int, counts: dict[int, int], miss: int = 0):
+    """The exact counter as one lookup: ``miss`` where f does not divide b,
+    else the result of class d = gcd(b/f, g), ``counts[d]`` for each d | g."""
+    results = {d: CountResult(c, FORMULA) for d, c in counts.items()}
+    miss = CountResult(miss, FORMULA)
+    return lambda b: miss if b % f else results[math.gcd(b // f, g)]
 
 
 def _square_term(p: int, ell: int, x: int) -> complex:
@@ -259,22 +258,6 @@ def _crt(residues: list[tuple[int, int]], n: int) -> int:
     return x % n
 
 
-def _divisor_sum(n: int, f: int, terms: tuple[tuple[int, int], ...], b: int) -> CountResult:
-    """The target part of an _engine counter: [f | b] * (sum of c * C_h(b/f)
-    over the pairs (h, c) of ``terms``) / n, f | n.  The f lifts of each t
-    mod n/f sum to f*[f | b], the f in each c; the rest collapses onto b/f."""
-    if b % f:
-        return _ZERO
-    bf = b // f
-    total = 0
-    for h, c in terms:
-        total += c * arith.ramanujan_sum(h, bf)
-    value, rem = divmod(total, n)
-    if rem:
-        raise ConsistencyError(f"divisor sum {total} not divisible by {n}")
-    return CountResult(value, FORMULA)
-
-
 def _engine(n: int, blocks: list[tuple[str, int, int]]):
     """The count of ordered blocks modulo n as a function of b, in integers.
 
@@ -289,7 +272,9 @@ def _engine(n: int, blocks: list[tuple[str, int, int]]):
     1 + z*e(a*t*x/n) = (1 - (-z)^(n/d))^d for strict: C(d+j-1, j) or
     (-1)^(j+k)*C(d, j), j = k*d/n, and 0 unless j is an integer.  So h runs
     over the divisors of G = gcd(n/f, k_i*gcd(a_i/f, n/f) for each i), and
-    n is never factored; the nonzero (h, f*prod_i w_i) go to _divisor_sum.
+    n is never factored.  C_h(b/f) reads b/f only through d = gcd(b/f, G):
+    _by_class holds the count of each class d | G, summed here from the
+    nonzero (h, f*prod_i w_i) and checked divisible by n (ConsistencyError).
     """
     f = n  # plain loops: unpacking into math.gcd made small builds 25 % slower
     for _, _, a in blocks:
@@ -300,8 +285,9 @@ def _engine(n: int, blocks: list[tuple[str, int, int]]):
         r = math.gcd(a // f, m)
         bound = math.gcd(bound, k * r)
         reduced.append((kind == "strict", k, r))
+    classes = arith.divisors(bound)
     terms = []
-    for h in arith.divisors(bound):
+    for h in classes:
         c = f
         for strict, k, r in reduced:
             g = math.gcd(r, h)
@@ -313,7 +299,11 @@ def _engine(n: int, blocks: list[tuple[str, int, int]]):
         else:
             if c:
                 terms.append((h, c))
-    return partial(_divisor_sum, n, f, tuple(terms))
+    totals = {d: sum(c * arith.ramanujan_sum(h, d) for h, c in terms) for d in classes}
+    for total in totals.values():
+        if total % n:
+            raise ConsistencyError(f"divisor sum {total} not divisible by {n}")
+    return _by_class(f, bound, {d: total // n for d, total in totals.items()})
 
 
 def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
@@ -400,13 +390,12 @@ def _distinct_gcd(n: int, coeffs: tuple[int, ...]):
         subset, s = obstruction
         raise DomainError(f"subset {subset} has sum {s} with gcd({s}, {n}) > 1")
     if k > n:
-        return _by_divisibility(1, 0, 0)
+        return _by_class(1, 1, {1: 0})
     g = math.gcd(sum(coeffs), n)
     falling = math.perm(n - 1, k - 1)
     fact = math.factorial(k - 1)
-    return _by_divisibility(
-        g, (-fact if k % 2 else fact) + falling, (fact if k % 2 else -fact) * (g - 1) + falling
-    )
+    hit = (fact if k % 2 else -fact) * (g - 1) + falling
+    return _by_class(g, 1, {1: hit}, (-fact if k % 2 else fact) + falling)
 
 
 def _block_orbit_plan(
@@ -527,10 +516,11 @@ def counter(spec: CongruenceSpec | BlockSpec, restriction: str = "all",
     """The count of ``spec``'s instance under ``restriction`` as a function
     of the target b.  The work that does not read b is done here, once, and
     so is every refusal: a DomainError (an unknown restriction, or an instance
-    outside the route's closed form) or square's BudgetExceededError, whose
-    charge (subset expansion at odd n, oracle fallback at even n) goes to
-    ``budget`` (a default OracleBudget when None) before any of the counter is
-    built.  A target raises only the ConsistencyError of a float route."""
+    outside the route's closed form), an exact route's ConsistencyError, or
+    square's BudgetExceededError, whose charge (subset expansion at odd n,
+    oracle fallback at even n) goes to ``budget`` (a default OracleBudget when
+    None) before any of the counter is built.  A target raises only the
+    ConsistencyError of a float route."""
     route = _ROUTES.get(restriction)
     if route is None or isinstance(spec, BlockSpec) != (restriction == "blocks"):
         raise DomainError(f"no restriction {restriction!r} for a {type(spec).__name__}")
