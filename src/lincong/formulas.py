@@ -2,8 +2,9 @@
 
 Each counter returns a CountResult with an exact count.  Strict order (and
 distinct with equal coefficients) and blocks whose coefficients share one
-gcd with n are one integer divisor sum over block weights, _engine; the
-square and mixed-gcd block counters round a complex sum, with its residual.
+gcd with n are one integer divisor sum over block weights, _engine, by
+two Moebius passes; the square and mixed-gcd block counters round a complex
+sum, with its residual.
 
 A count has an instance part, which reads only the modulus, the
 coefficients and the divisor structure, and a target part, where b enters.
@@ -14,7 +15,8 @@ equal coefficients, else to the gcd-condition form.  The route builds the
 instance part once and returns the target part as a function of b, which
 holds what it reads.  An exact counter (Lehmer, the engine, the
 gcd-condition form) is a table of results by gcd class, _by_class, so a
-target is one lookup.  A float counter holds, per prime power of an odd n,
+target is one lookup, as is equal-coefficient distinct's own table of k!
+times strict order's.  A float counter holds, per prime power of an odd n,
 the square terms T_i(m) and the roots of unity, the 2^k subset products per
 residue charged to the counter's budget before they are built, or for an
 even n the oracle histogram, built and charged there; or the general block
@@ -42,7 +44,7 @@ import itertools
 import math
 from array import array
 from functools import lru_cache, partial
-from operator import add
+from operator import add, mul
 
 from . import arith, characters, oracles
 from .errors import ConsistencyError, DomainError
@@ -77,7 +79,11 @@ def _lehmer(n: int, coeffs: tuple[int, ...]):
 def _by_class(f: int, g: int, counts: dict[int, int], miss: int = 0):
     """The exact counter as one lookup: ``miss`` where f does not divide b,
     else the result of class d = gcd(b/f, g), ``counts[d]`` for each d | g."""
-    results = {d: CountResult(c, FORMULA) for d, c in counts.items()}
+    return _lookup(f, g, {d: CountResult(c, FORMULA) for d, c in counts.items()}, miss)
+
+
+def _lookup(f: int, g: int, results, miss: int = 0):
+    """_by_class over a mapping of class d to its CountResult."""
     miss = CountResult(miss, FORMULA)
     return lambda b: miss if b % f else results[math.gcd(b // f, g)]
 
@@ -259,11 +265,17 @@ def _crt(residues: list[tuple[int, int]], n: int) -> int:
 
 
 def _engine(n: int, blocks: list[tuple[str, int, int]]):
-    """The count of ordered blocks modulo n as a function of b, in integers.
+    """The count of ordered blocks modulo n as a function of b, in integers."""
+    return _by_class(*_engine_classes(n, blocks))
+
+
+def _engine_classes(n: int, blocks: list[tuple[str, int, int]]):
+    """(f, G, count of each gcd class d | G) for ordered blocks modulo n.
 
     A block (kind, k, a) is k variables with coefficient a, weakly ("weak")
     or strictly ("strict") decreasing on [0, n).  With f = gcd(n, a_1, ...)
-    and t mod n grouped by its order h mod n/f, it is 0 unless f | b, else
+    and t mod n grouped by its order h mod n/f, the count is 0 unless f | b,
+    else
 
         (f/n) * sum over h | n/f of C_h(b/f) * prod_i w_i(n*gcd(a_i/f, h)/h).
 
@@ -272,9 +284,13 @@ def _engine(n: int, blocks: list[tuple[str, int, int]]):
     1 + z*e(a*t*x/n) = (1 - (-z)^(n/d))^d for strict: C(d+j-1, j) or
     (-1)^(j+k)*C(d, j), j = k*d/n, and 0 unless j is an integer.  So h runs
     over the divisors of G = gcd(n/f, k_i*gcd(a_i/f, n/f) for each i), and
-    n is never factored.  C_h(b/f) reads b/f only through d = gcd(b/f, G):
-    _by_class holds the count of each class d | G, summed here from the
-    nonzero (h, f*prod_i w_i) and checked divisible by n (ConsistencyError).
+    n is never factored.  C_h(b/f) reads b/f only through d = gcd(b/f, G).
+
+    _class_sums gives T(d) = sum over h | G of c_h*C_h(d), c_h = f*prod_i w_i.
+    The build raises ConsistencyError unless every T(d) is a nonnegative
+    multiple of n and the sum over d | G of (n/f/G)*phi(G/d)*T(d) is
+    n*prod_i w_i(n), n times the states (a check of the passes, not of the
+    weights).
     """
     f = n  # plain loops: unpacking into math.gcd made small builds 25 % slower
     for _, _, a in blocks:
@@ -286,7 +302,7 @@ def _engine(n: int, blocks: list[tuple[str, int, int]]):
         bound = math.gcd(bound, k * r)
         reduced.append((kind == "strict", k, r))
     classes = arith.divisors(bound)
-    terms = []
+    table = dict.fromkeys(classes, 0)
     for h in classes:
         c = f
         for strict, k, r in reduced:
@@ -297,13 +313,41 @@ def _engine(n: int, blocks: list[tuple[str, int, int]]):
             w = math.comb(d, j) if strict else math.comb(d + j - 1, j)
             c *= -w if strict and (j + k) % 2 else w
         else:
-            if c:
-                terms.append((h, c))
-    totals = {d: sum(c * arith.ramanujan_sum(h, d) for h, c in terms) for d in classes}
-    for total in totals.values():
-        if total % n:
-            raise ConsistencyError(f"divisor sum {total} not divisible by {n}")
-    return _by_class(f, bound, {d: total // n for d, total in totals.items()})
+            table[h] = c
+    states = table[1] // f  # at h = 1 each weight counts all of its block's tuples
+    _class_sums(bound, table)
+    total = sum(map(mul, _cofactor_phis(bound), table.values()))
+    if m // bound * total != n * states:
+        raise ConsistencyError(f"class sums give {m // bound * total} states, not {n * states}")
+    for t in table.values():
+        if t % n or t < 0:
+            raise ConsistencyError(f"divisor sum {t} is not a nonnegative multiple of {n}")
+    return f, bound, {d: t // n for d, t in table.items()}
+
+
+@lru_cache(maxsize=arith.CACHE_SIZE)
+def _cofactor_phis(bound: int) -> tuple[int, ...]:
+    """phi(G/d) for each d | G = bound, in increasing d."""
+    return tuple(arith.euler_phi(bound // d) for d in arith.divisors(bound))
+
+
+def _class_sums(bound: int, table: dict[int, int]) -> None:
+    """Replace table[h] = c_h, h | G = bound, by T(d) = sum over h of c_h*C_h(d).
+    As C_h(d) = sum over e | gcd(h, d) of e*mu(h/e), that is one sweep per
+    prime of G for D(e) = sum over e | h | G of mu(h/e)*c_h, then one for
+    T(d) = sum over e | d of e*D(e)."""
+    classes = arith.divisors(bound)
+    factors = arith.factorize(bound).factors
+    for p, _ in factors:  # increasing e: table[e*p] is not yet updated for p
+        for e in classes:
+            if bound % (e * p) == 0:
+                table[e] -= table[e * p]
+    for e in classes:
+        table[e] *= e
+    for p, _ in factors:  # increasing d: table[d/p] is already updated for p
+        for d in classes:
+            if d % p == 0:
+                table[d] += table[d // p]
 
 
 def strict_order_count(n: int, k: int, a: int, b: int) -> CountResult:
@@ -322,14 +366,35 @@ def _strict(n: int, k: int, a: int):
 
 def distinct_count_equal_coeffs(n: int, k: int, a: int, b: int) -> CountResult:
     """Count solutions with all coordinates distinct when every coefficient
-    equals a: k! times the strictly ordered count, when that is not 0."""
-    return _times_factorial(k, strict_order_count(n, k, a, b))
+    equals a: k! times the strictly ordered count, from the instance's own
+    table (_distinct_equal), at b."""
+    if n < 1 or k < 1:
+        raise DomainError("distinct_count_equal_coeffs needs n >= 1 and k >= 1")
+    return _distinct_equal(n, k, a)(b)
 
 
-def _times_factorial(k: int, ordered: CountResult) -> CountResult:
-    if not ordered.count:
-        return ordered
-    return CountResult(math.factorial(k) * ordered.count, ordered.method)
+@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
+def _distinct_equal(n: int, k: int, a: int):
+    """Strict order's class table with each class read as k! times its count."""
+    f, g, counts = _engine_classes(n, [("strict", k, a)])
+    return _lookup(f, g, _TimesFactorial(k, counts))
+
+
+class _TimesFactorial(dict):
+    """k! times each class count, formed at the class's first lookup, and k!
+    at the first nonzero one: a one-target count forms one product."""
+
+    def __init__(self, k: int, counts: dict[int, int]):
+        self.k, self.counts, self.factorial = k, counts, None
+
+    def __missing__(self, d: int) -> CountResult:
+        count = self.counts[d]
+        if count:
+            if self.factorial is None:
+                self.factorial = math.factorial(self.k)
+            count *= self.factorial
+        result = self[d] = CountResult(count, FORMULA)
+        return result
 
 
 def subset_sum_obstruction(n: int, coeffs) -> tuple[tuple[int, ...], int] | None:
@@ -340,7 +405,8 @@ def subset_sum_obstruction(n: int, coeffs) -> tuple[tuple[int, ...], int] | None
     The sums of all 2**k subsets are built by doubling (bit i of a mask is
     position i), and one pass walks the proper subsets in the order above,
     one gcd each, up to the first obstruction; the masks of that walk come
-    from a table per k.  The outcome is cached per (n, coefficient tuple).
+    from a table per k.  At n = 1 every gcd is 1, so nothing is built.  The
+    outcome is cached per (n, coefficient tuple).
     """
     return _subset_sum_obstruction(n, tuple(coeffs))
 
@@ -354,6 +420,8 @@ def _subset_walk(k: int) -> tuple[int, ...]:
 
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _subset_sum_obstruction(n: int, coeffs: tuple[int, ...]):
+    if n == 1:
+        return None
     sums = [0]
     for c in coeffs:
         sums += [s + c for s in sums]
@@ -483,8 +551,7 @@ def _distinct_route(spec: CongruenceSpec, _budget):
     raised here, when the counter is built, as strict order's is."""
     n, k = spec.n, spec.k
     if len(set(spec.coeffs)) == 1:
-        strict = _strict(n, k, spec.coeffs[0])
-        return lambda b: _times_factorial(k, strict(b))
+        return _distinct_equal(n, k, spec.coeffs[0])
     return _distinct_gcd(n, spec.coeffs)
 
 

@@ -388,6 +388,17 @@ def test_subset_sum_obstruction_matches_combinations_search():
         assert formulas.subset_sum_obstruction(30, (7, 1) + (7,) * (k - 2)) == ((0, 1), 8)
 
 
+def test_subset_sum_obstruction_at_n_1_walks_nothing(monkeypatch):
+    # every gcd with 1 is 1: no walk over the 2**21 subset sums, which the
+    # distinct verify grid would make at every tuple at n = 1
+    def refuse(k):
+        raise AssertionError(f"subset walk at k = {k}")
+
+    monkeypatch.setattr(formulas, "_subset_walk", refuse)
+    formulas._subset_sum_obstruction.cache_clear()
+    assert formulas.subset_sum_obstruction(1, (0,) * 21) is None
+
+
 def test_distinct_gcd_condition_schoenemann_specialization():
     # p prime, coefficients summing to 0 mod p, proper subsets coprime:
     # the count is (-1)^(k-1) (k-1)! (p-1) + (p-1)...(p-k+1), independent of
@@ -682,10 +693,28 @@ def test_built_exact_counter_does_no_arithmetic_at_a_target(monkeypatch):
     before = [[count_at(b) for b in targets] for count_at in counters]
     assert [len({r.count for r in row}) for row in before] == [7, 7, 2, 2]
 
-    def refuse(n, b):
-        raise AssertionError(f"ramanujan_sum({n}, {b}) at a target")
+    def refuse(*args):
+        raise AssertionError(f"arithmetic {args} at a target")
     monkeypatch.setattr(arith, "ramanujan_sum", refuse)
     assert [[count_at(b) for b in targets] for count_at in counters] == before
+    # every class has been read once, so no k!, binomial or product is left
+    monkeypatch.setattr(math, "factorial", refuse)
+    monkeypatch.setattr(math, "comb", refuse)
+    assert [[count_at(b) for b in targets] for count_at in counters] == before
+
+
+def test_class_sums_match_the_ramanujan_sum_table():
+    # the two passes against the tau(G)^2 sum they replace, sum over h | G
+    # of c_h*C_h(d), for random terms (zeros and numbers past 2**64
+    # included) at every G <= 64 and at G up to 720720 = 2^4*3^2*5*7*11*13
+    rng = random.Random(26)
+    for bound in [*range(1, 65), 720, 5040, 129600, 720720]:
+        classes = arith.divisors(bound)
+        c = {h: rng.choice((0, rng.randrange(-9, 10), rng.randrange(-2**80, 2**80)))
+             for h in classes}
+        want = {d: sum(c[h] * arith.ramanujan_sum(h, d) for h in classes) for d in classes}
+        formulas._class_sums(bound, c)
+        assert c == want, bound
 
 
 def test_engine_refuses_a_bad_sum_when_built(monkeypatch):
@@ -888,7 +917,7 @@ def _named_counter(spec, restriction):
 
 @pytest.mark.parametrize("builder, spec, restriction", [
     ("_strict", CongruenceSpec(12, (3, 3, 3), 0), "strict-order"),
-    ("_strict", CongruenceSpec(12, (5, 5, 5), 0), "distinct"),
+    ("_distinct_equal", CongruenceSpec(12, (5, 5, 5), 0), "distinct"),
     ("_distinct_gcd", CongruenceSpec(11, (1, 2, 3), 0), "distinct"),
     ("_lehmer", CongruenceSpec(12, (4, 6), 0), "all"),
     ("_blocks", BlockSpec(12, ((2, 2), (3, 10)), 0), "blocks"),

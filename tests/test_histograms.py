@@ -2,9 +2,11 @@
 formulas.count against them."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from lincong import formulas, oracles
-from lincong.errors import DomainError
+from lincong.errors import BudgetExceededError, ConsistencyError, DomainError
 from lincong.model import BlockSpec, CongruenceSpec
 
 COEFF_RESTRICTIONS = ("all", "square", "strict-order", "distinct")
@@ -82,3 +84,49 @@ def test_histogram_totals():
 def test_strict_more_vars_than_residues():
     assert oracles.oracle_histogram(CongruenceSpec(3, (1, 1, 1, 1), 0), "strict-order") == [0, 0, 0]
     assert oracles.oracle_histogram(CongruenceSpec(2, (1, 1, 1), 0), "distinct") == [0, 0]
+
+
+@st.composite
+def _front_door_case(draw):
+    """(restriction, n, coefficients or blocks, b) with n <= 30 and k <= 5,
+    coefficients and targets outside [0, n), block sizes from 0, and often
+    equal coefficients, so strict order and both distinct routes are met."""
+    restriction = draw(st.sampled_from(oracles.RESTRICTIONS))
+    n = draw(st.integers(1, 30))
+    value = st.integers(-2 * n, 3 * n)
+    b = draw(value)
+    if restriction == "blocks":
+        sizes = draw(st.lists(st.integers(0, 3), min_size=1, max_size=3))
+        sizes[-1] = max(0, min(sizes[-1], 5 - sum(sizes[:-1])))
+        return restriction, n, [(s, draw(value)) for s in sizes], b
+    k = draw(st.integers(1, 5))
+    if draw(st.booleans()):
+        return restriction, n, [draw(value)] * k, b
+    coeffs = draw(st.lists(value, min_size=k, max_size=k))
+    return restriction, n, coeffs, b
+
+
+def test_front_door_matches_the_oracle_or_refuses():
+    # every draw counts what the oracle histogram gives at b mod n, or raises
+    # one of the three typed errors (a block of size 0 is a DomainError)
+    counted = set()
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(_front_door_case())
+    @example(("distinct", 6, [2, 2], -6))  # equal coefficients that fail the subset test
+    @example(("distinct", 30, [7] * 5, 61))
+    @example(("distinct", 7, [-6, 9, 3], 12))  # the subset-sum hypothesis holds
+    @example(("blocks", 12, [(0, 1), (2, 5)], 3))
+    def check(case):
+        restriction, n, shape, b = case
+        try:
+            spec = (BlockSpec if restriction == "blocks" else CongruenceSpec)(n, shape, b)
+            got = formulas.count(spec, restriction)
+        except (DomainError, BudgetExceededError, ConsistencyError):
+            return
+        assert got.count == oracles.oracle_histogram(spec, restriction)[b % n], case
+        counted.add((restriction, len(set(spec.coeffs)) == 1))
+
+    check()
+    assert {r for r, _ in counted} == set(oracles.RESTRICTIONS)
+    assert {("distinct", True), ("distinct", False)} <= counted
