@@ -30,10 +30,12 @@ its instance's counter at b, from the same builder that _ROUTES calls, so
 each float loop and the even-n square fallback exist once and a count,
 residual or error is bit for bit the same on both paths.  Those builders
 keep their last two counters, so a sweep over the targets of one instance
-builds it once.  square_count alone builds its counter at every call: a
-cache keyed on the prime power alone would keep serving terms computed
-before a patched epsilon or Gauss sum, which the self-test's mutation check
-relies on seeing.  The subset-sum check keeps its own two entries, for a
+builds it once.  The strict-order route asks its builder at gcd(a, n),
+which gives the same table, so the a of one gcd class share one build.
+square_count alone builds its counter at every call: a cache keyed on the
+prime power alone would keep serving terms computed before a patched
+epsilon or Gauss sum, which the self-test's mutation check relies on
+seeing.  The subset-sum check keeps its own two entries, for a
 check made just before its counter is built.  Every counter is verified
 against the independent oracle histograms in the test suite.
 """
@@ -540,15 +542,22 @@ def _orbit_sum(n: int, roots, plan, b: int) -> CountResult:
 
 
 def _strict_route(spec: CongruenceSpec, _budget):
+    """The strict block's table, keyed on gcd(a, n) for a grid's sake: a
+    unit u maps the k-subsets of Z_n onto themselves by S -> u*S, so the
+    count depends on a only through that gcd.  _engine_classes builds the
+    same table for both, as f = gcd(n, a) and r = gcd(a/f, n/f) = 1."""
     if len(set(spec.coeffs)) > 1:
         raise DomainError("strict order has a closed form for equal coefficients only")
-    return _strict(spec.n, spec.k, spec.coeffs[0])
+    return _strict(spec.n, spec.k, math.gcd(spec.coeffs[0], spec.n))
 
 
 def _distinct_route(spec: CongruenceSpec, _budget):
     """k! times strict order for equal coefficients, else the gcd-condition
     form, whose DomainError (a failed subset-sum hypothesis, or k > 20) is
-    raised here, when the counter is built, as strict order's is."""
+    raised here, when the counter is built, as strict order's is.  The
+    equal-coefficient table stays keyed on a itself, unlike _strict_route's,
+    so that distinct_count_equal_coeffs and this route share one cached
+    table; a distinct grid holds few equal-coefficient tuples."""
     n, k = spec.n, spec.k
     if len(set(spec.coeffs)) == 1:
         return _distinct_equal(n, k, spec.coeffs[0])

@@ -18,17 +18,29 @@ operations over n*W bytes, not a Python loop over n entries.  Every entry
 an engine ever holds counts part of the tuples the histogram counts, so the
 charged total bounds them all: W is its byte length, set once per histogram,
 and no slot carries into the next.
+
+A grid's cases share pieces, so each is memoized (at most _PIECES entries)
+under a key that fixes its value, (n, W) included: a slot's count vector,
+the fold of each coefficient prefix (a case convolves its prefix's fold
+with one vector), a chain (a block's row), _value_dp's move table per k,
+and the sums of strictly ordered k-tuples, which equal-coefficient strict
+order pushes forward to each a.  The charge still comes first: no cache is
+read before state_count is charged, so a refused charge returns nothing.
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 from . import characters
 from .errors import DomainError
 from .model import BlockSpec, CongruenceSpec, OracleBudget
 
 RESTRICTIONS = ("all", "square", "strict-order", "distinct", "blocks")
+# Entries each memoized piece keeps: a grid meets its pieces in order, so
+# one is read again soon or not at all.
+_PIECES = 64
 
 
 def _check_restriction(restriction: str) -> None:
@@ -74,8 +86,9 @@ def oracle_histogram(
     all, square and blocks convolve one count vector per slot or block (a
     slot's vector counts its domain, [0, n) or the squares mod n, by
     residue; a block's vector is the weak chain of its size over [0, n)).
-    Strict order is one weak chain and distinct solutions one transfer DP
-    over the values.  state_count is charged to ``budget`` before any of
+    Strict order is one weak chain (for equal coefficients, the chain at
+    a = 1 pushed forward to a) and distinct solutions one transfer DP over
+    the values.  state_count is charged to ``budget`` before any of
     them starts, and that total sets the one slot width they all use; a
     total of 0 (more variables than residues) is the zero histogram.
 
@@ -95,17 +108,23 @@ def oracle_histogram(
     if restriction == "blocks":
         hist = _convolve(n, width, [_chain(n, width, (a,) * size, n) for size, a in spec.blocks])
     elif restriction in ("all", "square"):
-        hist = _convolve(n, width, [_count_vector(n, width, a, domain) for a in spec.coeffs])
-    elif restriction == "strict-order":
+        for i in range(1, spec.k + 1):  # shortest prefix first, so no fold recurses twice
+            hist = _fold(n, width, spec.coeffs[:i], domain)
+    elif restriction == "distinct":
+        hist = _value_dp(n, width, spec.coeffs)
+    elif len(set(spec.coeffs)) == 1:
+        # a*(x1+...+xk) is a times the sum at a = 1: push that histogram forward
+        hist = [0] * n
+        for s, c in enumerate(_strict_sums(n, width, spec.k)):
+            hist[spec.coeffs[0] * s % n] += c
+        return hist
+    else:
         # x_j = y_j + (k - j) maps weakly decreasing y over [0, n - k + 1)
         # onto strictly decreasing x over [0, n)
         k = spec.k
         offset = sum(a * (k - j) for j, a in enumerate(spec.coeffs, 1))
         hist = _chain(n, width, spec.coeffs, n - k + 1, offset)
-    else:
-        hist = _value_dp(n, width, spec.coeffs)
-    data = hist.to_bytes(n * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+    return _unpack(n, width, hist)
 
 
 def oracle_count(
@@ -164,6 +183,30 @@ def _domain(n: int, restriction: str):
     return range(n)
 
 
+def _unpack(n: int, width: int, packed: int) -> list[int]:
+    """The n entries of a packed histogram, W = width bytes each."""
+    data = packed.to_bytes(n * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+
+
+@lru_cache(maxsize=_PIECES)
+def _fold(n: int, width: int, coeffs: tuple[int, ...], domain) -> int:
+    """Packed histogram of a1*x1 + ... + ak*xk over domain^k: the fold of
+    the coefficients before the last, convolved with the last one's vector."""
+    vec = _count_vector(n, width, coeffs[-1], domain)
+    if len(coeffs) == 1:
+        return vec
+    return _convolve(n, width, [_fold(n, width, coeffs[:-1], domain), vec])
+
+
+@lru_cache(maxsize=_PIECES)
+def _strict_sums(n: int, width: int, k: int) -> tuple[int, ...]:
+    """Unpacked histogram of x1 + ... + xk over strictly decreasing x in [0, n):
+    oracle_histogram's strict chain at coefficients (1,)*k."""
+    return tuple(_unpack(n, width, _chain(n, width, (1,) * k, n - k + 1, k * (k - 1) // 2)))
+
+
+@lru_cache(maxsize=_PIECES)
 def _count_vector(n: int, width: int, a: int, domain) -> int:
     """Packed v[r] = number of x in ``domain`` with a*x = r (mod n)."""
     vec = [0] * n
@@ -203,6 +246,8 @@ def _value_dp(n: int, width: int, coeffs) -> int:
     while w >= k - 1, and a state of s > n - 1 - w positions is still empty.
     The rest are dead (22950 of 28060 transfers at n = k = 10).
 
+    _moves builds the masks by size, each with its moves, once per k.
+
     A transfer by t rotates the histogram by t slots and adds it: one shift
     and one add over n slots, at most k*2^(k-1) per value.  A state with j
     positions counts j-arrangements of the values above w, at most
@@ -210,11 +255,7 @@ def _value_dp(n: int, width: int, coeffs) -> int:
     k = len(coeffs)
     bits = 8 * width * n
     low = (1 << bits) - 1
-    # by_size[s]: the masks of s < k positions, each with its moves
-    by_size = [[] for _ in range(k)]
-    for mask in range(1, (1 << k) - 1):
-        moves = [(i, mask | 1 << i) for i in range(k) if not mask >> i & 1]
-        by_size[k - len(moves)].append((mask, moves))
+    by_size = _moves(k)
     states = [0] * (1 << k)
     for w in range(n - 1, -1, -1):
         shifts = [a * w % n * 8 * width for a in coeffs]
@@ -230,7 +271,19 @@ def _value_dp(n: int, width: int, coeffs) -> int:
     return states[-1]
 
 
-def _chain(n: int, width: int, coeffs, values: int, offset: int = 0) -> int:
+@lru_cache(maxsize=8)  # a verify grid goes through k = 1..k_max at every n
+def _moves(k: int) -> tuple:
+    """by_size[s]: the masks of s < k positions, each with its moves
+    (i, the mask with position i added), one per free position i."""
+    by_size = [[] for _ in range(k)]
+    for mask in range(1, (1 << k) - 1):
+        moves = tuple((i, mask | 1 << i) for i in range(k) if not mask >> i & 1)
+        by_size[k - len(moves)].append((mask, moves))
+    return tuple(map(tuple, by_size))
+
+
+@lru_cache(maxsize=_PIECES)
+def _chain(n: int, width: int, coeffs: tuple[int, ...], values: int, offset: int = 0) -> int:
     """Packed histogram of a1*x1 + ... + ak*xk + offset (mod n) over the
     weakly decreasing x1 >= ... >= xk in [0, values), values >= 1.
 

@@ -228,8 +228,10 @@ def test_verify_summary_times_formula_and_oracle(capsys):
 
 
 def test_verify_distinct_checks_each_tuple_once(capsys, monkeypatch):
-    # cases are built as they run, so the counter finds the grid filter's
-    # subset-sum check still cached; equal coefficients need no check
+    # the grid walks the multisets by prefix and makes no subset-sum check
+    # of its own, so only a case's counter checks its tuple, once, and
+    # equal coefficients need no check; the cases printed are exactly the
+    # multisets that pass the check, in grid order
     inner = formulas._subset_sum_obstruction.__wrapped__
     calls = Counter()
 
@@ -239,10 +241,25 @@ def test_verify_distinct_checks_each_tuple_once(capsys, monkeypatch):
 
     monkeypatch.setattr(formulas, "_subset_sum_obstruction", functools.lru_cache(2)(counted))
     code, out, _ = run_cli(["verify", "--mode", "distinct", "--n-max", "9", "--k-max", "3"], capsys)
-    assert code == 0 and json_lines(out)[-1]["cases"] > 0
-    grid = {(n, coeffs) for n in range(1, 10) for k in (1, 2, 3)
-            for coeffs in itertools.combinations_with_replacement(range(n), k)}
-    assert set(calls) == grid and set(calls.values()) == {1}
+    *rows, summary = json_lines(out)
+    assert code == 0 and summary["cases"] == len(rows) > 0
+    passing = [(n, coeffs) for n in range(1, 10) for k in (1, 2, 3)
+               for coeffs in itertools.combinations_with_replacement(range(n), k)
+               if inner(n, coeffs) is None]
+    assert list(dict.fromkeys((rec["n"], tuple(rec["a"])) for rec in rows)) == passing
+    assert set(calls) == {(n, coeffs) for n, coeffs in passing if len(set(coeffs)) > 1}
+    assert set(calls.values()) == {1}
+
+
+def test_distinct_grid_walk_equals_the_filter_of_every_multiset():
+    # the pruned walk gives the multisets that pass the subset-sum check,
+    # in the order of the filter it replaces, n = 1 included
+    args = cli.build_parser().parse_args(["verify", "--mode", "distinct", "--n-max", "15",
+                                          "--k-max", "5"])
+    filtered = [(n, (None, coeffs)) for n in range(1, 16) for k in range(1, 6)
+                for coeffs in itertools.combinations_with_replacement(range(n), k)
+                if formulas.subset_sum_obstruction(n, coeffs) is None]
+    assert list(cli.MODE_TABLE["distinct"].verify_grid(args)) == filtered
 
 
 def test_verify_square_case_builds_each_term_table_once(monkeypatch):
@@ -263,20 +280,37 @@ def test_verify_square_case_builds_each_term_table_once(monkeypatch):
 
 def test_verify_square_even_fallback_enumerates_once_per_case(capsys, monkeypatch):
     # an even modulus falls back to the oracle: its counter builds the
-    # histogram once, beside the case's own oracle, not once per target
+    # histogram once, beside the case's own oracle, not once per target;
+    # the two calls share one packed build, so the second builds no count
+    # vector and no convolution
     inner = oracles.oracle_histogram
-    calls = []
+    calls, builds = [], Counter()
 
     def counted(spec, restriction="all", budget=None):
-        calls.append((spec.coeffs, restriction))
-        return inner(spec, restriction, budget)
+        before = builds.total()
+        hist = inner(spec, restriction, budget)
+        calls.append((spec.coeffs, restriction, builds.total() - before))
+        return hist
 
+    def counting(name, fn):
+        def wrapped(*args):
+            builds[name] += 1
+            return fn(*args)
+        return wrapped
+
+    oracles._fold.cache_clear()
+    oracles._count_vector.cache_clear()
+    for name in ("_count_vector", "_convolve"):
+        monkeypatch.setattr(oracles, name, counting(name, getattr(oracles, name)))
     monkeypatch.setattr(oracles, "oracle_histogram", counted)
     code, out, _ = run_cli(["verify", "--mode", "square", "--n-list", "12", "--k-max", "2"], capsys)
     *rows, summary = json_lines(out)
     assert code == 0 and summary["cases"] == len(rows) == 12 * 14
     assert {rec["method"] for rec in rows} == {"oracle-fallback"}
-    assert len(calls) == 2 * 14 and set(Counter(calls).values()) == {2}
+    assert len(calls) == 2 * 14 and set(Counter(call[:2] for call in calls).values()) == {2}
+    first, second = calls[::2], calls[1::2]
+    assert [call[:2] for call in first] == [call[:2] for call in second]
+    assert all(call[2] > 0 for call in first) and all(call[2] == 0 for call in second)
 
 
 def test_commands_reject_flags_of_other_commands(capsys):

@@ -321,3 +321,92 @@ def test_oracle_square_against_reference():
                 assert hist == reference_histogram(n, coeffs, "all", squares), (n, coeffs)
     assert oracles.oracle_count(CongruenceSpec(9, (1, 1), 3), "square") == 0
     assert oracles.oracle_count(CongruenceSpec(9, (1, 1), 2), "square") == 3
+
+
+PIECES = (oracles._fold, oracles._count_vector, oracles._chain, oracles._strict_sums,
+          oracles._moves)
+
+
+def clear_pieces():
+    for piece in PIECES:
+        piece.cache_clear()
+
+
+def test_strict_push_forward_equals_the_direct_chain():
+    # equal coefficients push the a = 1 sums forward to a*s; the reference
+    # is the chain over (a,)*k with its own offset, unpacked here
+    for n in range(1, 21):
+        for k in range(1, min(n, 5) + 1):
+            width = (math.comb(n, k).bit_length() + 7) // 8
+            for a in range(n):
+                packed = oracles._chain(n, width, (a,) * k, n - k + 1, a * k * (k - 1) // 2)
+                data = packed.to_bytes(n * width, "little")
+                direct = [int.from_bytes(data[i:i + width], "little")
+                          for i in range(0, n * width, width)]
+                hist = oracles.oracle_histogram(CongruenceSpec(n, (a,) * k, 0), "strict-order")
+                assert hist == direct, (n, k, a)
+
+
+def test_piece_caches_key_on_width_domain_and_size():
+    # interleaved specs share n and a coefficient prefix but differ in slot
+    # width (k = 2 packs 144 states in 1 byte, k = 3 packs 1728 in 2),
+    # domain or block size, so a piece cached under too loose a key gives a
+    # histogram other than the one built from empty caches
+    n = 12
+    cases = [
+        (CongruenceSpec(n, (1, 5), 0), "all"),
+        (CongruenceSpec(n, (1, 5, 7), 0), "all"),
+        (CongruenceSpec(n, (1, 5), 0), "square"),
+        (CongruenceSpec(n, (1, 5, 7), 0), "square"),
+        (BlockSpec(n, ((2, 1), (1, 5)), 0), "blocks"),
+        (BlockSpec(n, ((3, 1), (1, 5)), 0), "blocks"),
+        (CongruenceSpec(n, (5, 5), 0), "strict-order"),
+        (CongruenceSpec(n, (5, 5, 5), 0), "strict-order"),
+        (CongruenceSpec(n, (1, 5), 0), "distinct"),
+        (CongruenceSpec(n, (1, 5, 7), 0), "distinct"),
+    ]
+    fresh = []
+    for spec, restriction in cases:
+        clear_pieces()
+        fresh.append(oracles.oracle_histogram(spec, restriction))
+    clear_pieces()
+    for _ in range(2):
+        for (spec, restriction), hist in zip(cases, fresh):
+            assert oracles.oracle_histogram(spec, restriction) == hist, (spec, restriction)
+
+
+def test_cached_pieces_are_charged_on_every_call():
+    # a histogram from cached pieces charges state_count as a build does,
+    # and a refused charge returns nothing and reads no cache
+    cases = [
+        (CongruenceSpec(12, (1, 5, 7), 0), "all"),
+        (CongruenceSpec(12, (1, 5, 7), 0), "square"),
+        (CongruenceSpec(12, (5, 5, 5), 0), "strict-order"),
+        (CongruenceSpec(12, (1, 5, 7), 0), "distinct"),
+        (BlockSpec(12, ((2, 1), (1, 5)), 0), "blocks"),
+    ]
+    for spec, restriction in cases:
+        total = oracles.state_count(spec, restriction)
+        budget = OracleBudget(2 * total)
+        first = oracles.oracle_histogram(spec, restriction, budget)
+        assert budget.used == total
+        assert oracles.oracle_histogram(spec, restriction, budget) == first
+        assert budget.used == 2 * total
+        infos = [piece.cache_info() for piece in PIECES]
+        with pytest.raises(BudgetExceededError):
+            oracles.oracle_histogram(spec, restriction, budget)
+        assert budget.used == 2 * total
+        assert [piece.cache_info() for piece in PIECES] == infos, restriction
+
+
+def test_piece_caches_stay_bounded():
+    for piece in PIECES:
+        assert 0 < piece.cache_info().maxsize <= oracles._PIECES
+    for n in range(1, oracles._PIECES + 8):  # more keys than any piece keeps
+        for restriction in ("all", "square", "strict-order", "distinct"):
+            oracles.oracle_histogram(CongruenceSpec(n, (1, 2 % n, 2 % n), 0), restriction)
+            oracles.oracle_histogram(CongruenceSpec(n, (n - 1,) * 2, 0), restriction)
+        oracles.oracle_histogram(BlockSpec(n, ((2, 1), (1, n + 1)), 0), "blocks")
+    for piece in PIECES:
+        info = piece.cache_info()
+        assert 0 < info.currsize <= info.maxsize
