@@ -545,7 +545,11 @@ def _strict_route(spec: CongruenceSpec, _budget):
     """The strict block's table, keyed on gcd(a, n) for a grid's sake: a
     unit u maps the k-subsets of Z_n onto themselves by S -> u*S, so the
     count depends on a only through that gcd.  _engine_classes builds the
-    same table for both, as f = gcd(n, a) and r = gcd(a/f, n/f) = 1."""
+    same table for both, as f = gcd(n, a) and r = gcd(a/f, n/f) = 1.
+    strict_order_count keys its table on a itself, so at a unit a (a = 5
+    at n = 12) the named counter reads _strict(n, k, 5) and this route
+    _strict(n, k, 1): keying the named counter on the gcd would cost one
+    math.gcd per call, a visible share of its microsecond-scale call."""
     if len(set(spec.coeffs)) > 1:
         raise DomainError("strict order has a closed form for equal coefficients only")
     return _strict(spec.n, spec.k, math.gcd(spec.coeffs[0], spec.n))

@@ -26,6 +26,17 @@ with one vector), a chain (a block's row), _value_dp's move table per k,
 and the sums of strictly ordered k-tuples, which equal-coefficient strict
 order pushes forward to each a.  The charge still comes first: no cache is
 read before state_count is charged, so a refused charge returns nothing.
+
+Distinct solutions run one transfer DP per unit orbit of the coefficients.
+For a unit v, a1*x1 + ... + ak*xk = t exactly when (v*a1)*x1 + ... +
+(v*ak)*xk = v*t, and the restriction (pairwise distinct x) acts on x alone,
+with no order among the positions, so a and the sorted v*a mod n have the
+same histogram up to t -> v*t.  That relabelling is the identity: by
+inclusion-exclusion over the set partitions P of the positions, the count
+at t is a sum of mu(P)*[g | t]*g*n^(|P|-1), g = gcd(n, P's block sums), so
+it reads t only through gcd(t, n).  _orbit_key picks one sorted tuple per
+orbit, and its DP is memoized on its own (at most _ORBITS entries, each of
+at most _ORBIT_BYTES): a grid meets an orbit again anywhere along its walk.
 """
 
 from __future__ import annotations
@@ -41,6 +52,11 @@ RESTRICTIONS = ("all", "square", "strict-order", "distinct", "blocks")
 # Entries each memoized piece keeps: a grid meets its pieces in order, so
 # one is read again soon or not at all.
 _PIECES = 64
+# Orbit DPs kept: room for every orbit a grid meets (990 at n = 31, k = 4).
+# A DP of more than _ORBIT_BYTES packed bytes (n*W) is built and not kept,
+# so the cache holds at most _ORBITS * _ORBIT_BYTES = 16 MiB.
+_ORBITS = 1024
+_ORBIT_BYTES = 1 << 14
 
 
 def _check_restriction(restriction: str) -> None:
@@ -88,9 +104,11 @@ def oracle_histogram(
     residue; a block's vector is the weak chain of its size over [0, n)).
     Strict order is one weak chain (for equal coefficients, the chain at
     a = 1 pushed forward to a) and distinct solutions one transfer DP over
-    the values.  state_count is charged to ``budget`` before any of
-    them starts, and that total sets the one slot width they all use; a
-    total of 0 (more variables than residues) is the zero histogram.
+    the values, run once per unit orbit of the coefficients, whose tuples
+    share one histogram (see the module docstring).  state_count is
+    charged to ``budget`` before any of them starts, and that total sets
+    the one slot width they all use; a total of 0 (more variables than
+    residues) is the zero histogram.
 
     Residues are represented in [0, n).  The strict-order count compares
     those representatives, so it depends on the choice of [0, n)
@@ -111,7 +129,8 @@ def oracle_histogram(
         for i in range(1, spec.k + 1):  # shortest prefix first, so no fold recurses twice
             hist = _fold(n, width, spec.coeffs[:i], domain)
     elif restriction == "distinct":
-        hist = _value_dp(n, width, spec.coeffs)
+        build = _orbit_dp if n * width <= _ORBIT_BYTES else _value_dp
+        hist = build(n, width, _orbit_key(n, spec.coeffs))
     elif len(set(spec.coeffs)) == 1:
         # a*(x1+...+xk) is a times the sum at a = 1: push that histogram forward
         hist = [0] * n
@@ -229,6 +248,24 @@ def _convolve(n: int, width: int, vectors: list[int]) -> int:
         prod = acc * vec
         acc = (prod & low) + (prod >> bits)
     return acc
+
+
+def _orbit_key(n: int, coeffs: tuple[int, ...]) -> tuple[int, ...]:
+    """One sorted unit multiple of the coefficients a, the same for every
+    unit multiple u*a: the least sorted v*a mod n over the inverses v of
+    a's unit entries.  (u*a_j)^-1 * u*a = a_j^-1 * a, so u*a offers the
+    same tuples, and the least one is the least sorted unit multiple of a
+    (its first nonzero entry is 1).  O(k^2 log k), where a minimum over
+    all units would cost O(phi(n) k log k).  A tuple with no unit entry is
+    keyed on itself, sorted."""
+    units = {pow(a, -1, n) for a in coeffs if math.gcd(a, n) == 1} or {1}
+    return min(tuple(sorted(v * a % n for a in coeffs)) for v in units)
+
+
+@lru_cache(maxsize=_ORBITS)
+def _orbit_dp(n: int, width: int, coeffs: tuple[int, ...]) -> int:
+    """_value_dp at an orbit key (n*W <= _ORBIT_BYTES), memoized."""
+    return _value_dp(n, width, coeffs)
 
 
 def _value_dp(n: int, width: int, coeffs) -> int:

@@ -937,6 +937,25 @@ def test_named_counter_sweep_builds_its_instance_once(builder, spec, restriction
     assert cached.cache_info().hits == spec.n
 
 
+def test_strict_route_and_named_counter_read_their_own_tables(monkeypatch):
+    # at a unit a the named counter reads _strict(n, k, a) and the route
+    # _strict(n, k, gcd(a, n)) = _strict(n, k, 1): two tables of one count
+    strict, read = formulas._strict, []
+
+    def recorded(n, k, a):
+        read.append((n, k, a))
+        return strict(n, k, a)
+
+    monkeypatch.setattr(formulas, "_strict", recorded)
+    strict.cache_clear()
+    named = [formulas.strict_order_count(12, 3, 5, b) for b in range(12)]
+    info = strict.cache_info()
+    assert read == [(12, 3, 5)] * 12 and (info.misses, info.hits) == (1, 11)
+    count_at = formulas.counter(CongruenceSpec(12, (5, 5, 5), 0), "strict-order")
+    assert read[12:] == [(12, 3, 1)] and strict.cache_info().misses == 2
+    assert [count_at(b) for b in range(12)] == named
+
+
 def test_counter_matches_named_counters():
     # a counter built once per instance gives, at every target, the named
     # counter's result with the same residual bits, or its error type and

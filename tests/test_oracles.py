@@ -5,6 +5,7 @@ checks: tiny itertools-based reference counts, a generating-function ring
 kept here as a second, unrelated method, and representation invariance.
 """
 
+import argparse
 import functools
 import itertools
 import math
@@ -12,7 +13,7 @@ import random
 
 import pytest
 
-from lincong import characters, formulas, oracles
+from lincong import characters, cli, formulas, oracles
 from lincong.errors import BudgetExceededError, DomainError
 from lincong.model import BlockSpec, CongruenceSpec, OracleBudget
 
@@ -324,7 +325,7 @@ def test_oracle_square_against_reference():
 
 
 PIECES = (oracles._fold, oracles._count_vector, oracles._chain, oracles._strict_sums,
-          oracles._moves)
+          oracles._moves, oracles._orbit_dp)
 
 
 def clear_pieces():
@@ -373,6 +374,11 @@ def test_piece_caches_key_on_width_domain_and_size():
     for _ in range(2):
         for (spec, restriction), hist in zip(cases, fresh):
             assert oracles.oracle_histogram(spec, restriction) == hist, (spec, restriction)
+    # distinct fixes W by n and k, so only a direct call can give one orbit
+    # key two widths: P(7, 2) = 42 packs in 1 byte or in 2
+    for width in (1, 2):
+        packed = oracles._orbit_dp(7, width, (1, 2))
+        assert oracles._unpack(7, width, packed) == reference_histogram(7, (1, 2), "distinct")
 
 
 def test_cached_pieces_are_charged_on_every_call():
@@ -399,14 +405,100 @@ def test_cached_pieces_are_charged_on_every_call():
         assert [piece.cache_info() for piece in PIECES] == infos, restriction
 
 
-def test_piece_caches_stay_bounded():
+def piece_bound(piece):
+    """The most entries a piece may keep: the orbit DPs have their own bound."""
+    return oracles._ORBITS if piece is oracles._orbit_dp else oracles._PIECES
+
+
+def test_piece_caches_stay_bounded(monkeypatch):
     for piece in PIECES:
-        assert 0 < piece.cache_info().maxsize <= oracles._PIECES
+        assert 0 < piece.cache_info().maxsize <= piece_bound(piece)
     for n in range(1, oracles._PIECES + 8):  # more keys than any piece keeps
         for restriction in ("all", "square", "strict-order", "distinct"):
             oracles.oracle_histogram(CongruenceSpec(n, (1, 2 % n, 2 % n), 0), restriction)
             oracles.oracle_histogram(CongruenceSpec(n, (n - 1,) * 2, 0), restriction)
         oracles.oracle_histogram(BlockSpec(n, ((2, 1), (1, n + 1)), 0), "blocks")
+    # (1, c) and (1, c^-1) share a key: 1499 keys, more than the orbit DPs keep
+    oracles._orbit_dp.cache_clear()
+    for n in range(2, 64):
+        for c in range(n):
+            oracles.oracle_histogram(CongruenceSpec(n, (1, c), 0), "distinct")
+    assert oracles._orbit_dp.cache_info().misses > oracles._ORBITS
     for piece in PIECES:
         info = piece.cache_info()
         assert 0 < info.currsize <= info.maxsize
+    # a DP of more than _ORBIT_BYTES packed bytes is built and not kept
+    spec = CongruenceSpec(13, (1, 2, 5), 0)
+    clear_pieces()
+    monkeypatch.setattr(oracles, "_ORBIT_BYTES", 13 * 2 - 1)  # P(13, 3) = 1716: W = 2
+    assert oracles.oracle_histogram(spec, "distinct") == reference_histogram(13, (1, 2, 5),
+                                                                             "distinct")
+    assert oracles._orbit_dp.cache_info().currsize == 0
+
+
+def unit_of_largest_order(n):
+    """A unit mod n whose powers reach the most residues."""
+    units = [u for u in range(n) if math.gcd(u, n) == 1]
+    return max(units, key=lambda u: next(e for e in range(1, n + 1) if pow(u, e, n) == 1 % n))
+
+
+def test_distinct_histograms_shared_across_a_unit_orbit():
+    # one DP per unit orbit serves every tuple in it.  u*a (u of the largest
+    # order: 4, 6, 10 and 12 at n = 5, 7, 11 and 13) is built before a and
+    # after it, each time from empty caches, so both read the orbit's DP
+    # cold and warm.  The reference is brute force over every multiset; it
+    # reads t only through gcd(t, n), which is why the orbit shares one
+    # histogram and not only one up to t -> u*t
+    grid = dict.fromkeys([(n, k) for n in (5, 7, 11, 13) for k in (1, 2, 3)]
+                         + [(n, k) for n in range(1, 8) for k in (1, 2, 3, 4)])
+    for n, k in grid:
+        u = unit_of_largest_order(n)
+        multisets = list(itertools.combinations_with_replacement(range(n), k))
+        brute = {coeffs: reference_histogram(n, coeffs, "distinct") for coeffs in multisets}
+        for coeffs in multisets:
+            want = brute[coeffs]
+            assert all(want[t] == want[math.gcd(t, n) % n] for t in range(n)), (n, coeffs)
+            moved = tuple(u * a % n for a in coeffs)
+            for pair in ((moved, coeffs), (coeffs, moved)):
+                clear_pieces()
+                for tup in pair:
+                    got = oracles.oracle_histogram(CongruenceSpec(n, tup, 0), "distinct")
+                    assert got == brute[tuple(sorted(tup))], (n, coeffs, u, tup)
+    # no unit entry: each tuple is its own key; k > n is the zero histogram
+    for n, coeffs in ((1, (0,)), (6, (2, 4)), (9, (3, 6)), (9, (6, 0, 3)), (2, (1, 1, 0)),
+                      (3, (2, 1, 0, 1))):
+        want = reference_histogram(n, coeffs, "distinct")
+        clear_pieces()
+        for _ in range(2):
+            assert oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "distinct") == want
+
+
+def test_orbit_keys_and_one_dp_per_key_on_the_distinct_grid(monkeypatch):
+    # every unit multiple u*a of a grid tuple with a unit entry has a's key,
+    # which is the least sorted unit multiple of a; a cold pass over the
+    # grid builds one DP per key of a tuple with distinct solutions
+    args = argparse.Namespace(n_max=12, n_list=None, k_max=4, jobs=1, budget=None)
+    grid = [(n, coeffs) for n, (_, coeffs) in cli.MODE_TABLE["distinct"].verify_grid(args)]
+    orbits = set()
+    for n, coeffs in grid:
+        units = [u for u in range(n) if math.gcd(u, n) == 1]
+        key = oracles._orbit_key(n, coeffs)
+        if any(math.gcd(a, n) == 1 for a in coeffs):
+            assert key == min(tuple(sorted(u * a % n for a in coeffs)) for u in units)
+            for u in units:
+                assert oracles._orbit_key(n, tuple(u * a % n for a in coeffs)) == key
+        else:
+            assert key == tuple(sorted(coeffs))
+        if math.perm(n, len(coeffs)):
+            orbits.add((n, key))
+    value_dp, built = oracles._value_dp, []
+
+    def counted(n, width, coeffs):
+        built.append((n, coeffs))
+        return value_dp(n, width, coeffs)
+
+    monkeypatch.setattr(oracles, "_value_dp", counted)
+    clear_pieces()
+    for n, coeffs in grid:
+        oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "distinct")
+    assert len(built) == len(set(built)) == len(orbits) == 149 and set(built) == orbits
