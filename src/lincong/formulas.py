@@ -16,10 +16,12 @@ instance part once and returns the target part as a function of b, which
 holds what it reads.  An exact counter (Lehmer, the engine, the
 gcd-condition form) is a table of results by gcd class, _by_class, so a
 target is one lookup, as is equal-coefficient distinct's own table of k!
-times strict order's.  A float counter holds, per prime power of an odd n,
+times strict order's.  A float counter holds, per prime power q of an odd n,
 the square terms T_i(m) and the roots of unity, the 2^k subset products per
-residue charged to the counter's budget before they are built, or for an
-even n the oracle histogram, built and charged there; or the general block
+residue charged to the counter's budget before they are built, and the
+(value, residual) of each residue b mod q it has been asked at, so a sweep
+evaluates each prime power once per residue mod q; or for an even n the
+oracle histogram, built and charged there; or the general block
 counter's orbit plan, with integer block weights, and roots.  A route
 raises its DomainError, BudgetExceededError or (exact) ConsistencyError
 when it is built, and a target only the ConsistencyError of a float route.
@@ -192,15 +194,22 @@ def square_count(
 
 
 def _square(spec: CongruenceSpec):
-    """The odd-n square count as a function of b, its prime-power parts built once."""
-    parts = [_square_count_prime_power(p, e, spec.coeffs)
+    """The odd-n square count as a function of b, its prime-power parts built
+    once.  The part for q = p^e reads b only as -b*m % q and b % q == 0, so
+    it runs once per residue r = b mod q and its (value, residual) is kept by
+    r: a sweep runs it q times, not n.  A part that raises keeps nothing, so
+    every target of its class raises the same error."""
+    parts = [(p**e, _square_count_prime_power(p, e, spec.coeffs), {})
              for p, e in arith.factorize(spec.n).factors]
 
     def at(b):
         total = 1
         worst = 0.0
-        for part in parts:
-            value, resid = part(b)
+        for mod, part, seen in parts:
+            r = b % mod
+            if r not in seen:
+                seen[r] = part(r)
+            value, resid = seen[r]
             total *= value
             worst = max(worst, resid)
         return CountResult(total, FORMULA, worst)

@@ -288,8 +288,13 @@ def _value_dp(n: int, width: int, coeffs) -> int:
     A transfer by t rotates the histogram by t slots and adds it: one shift
     and one add over n slots, at most k*2^(k-1) per value.  A state with j
     positions counts j-arrangements of the values above w, at most
-    P(n, j) <= P(n, k) of them."""
+    P(n, j) <= P(n, k) of them.
+
+    At k = 1 every tuple is distinct, so the histogram is the single slot's
+    count vector over [0, n): the DP would add n seeds into n*W bytes."""
     k = len(coeffs)
+    if k == 1:
+        return _count_vector(n, width, coeffs[0], range(n))
     bits = 8 * width * n
     low = (1 << bits) - 1
     by_size = _moves(k)

@@ -840,6 +840,45 @@ def test_square_count_bit_identical_to_per_subset_loop():
         assert _outcome(formulas.square_count, spec) == want, spec
 
 
+def test_square_counter_reuse_bit_identical_to_per_subset_loop():
+    # one counter swept over shuffled targets, repeated residues among them,
+    # some past n and some negative: each prime-power part is kept by b mod q,
+    # and every target still gets the reference's count, residual bits or error
+    rng = random.Random(29)
+    for n, k in ((15, 4), (45, 3), (105, 3), (225, 2)):
+        coeffs = tuple(rng.randrange(n) for _ in range(k))
+        count_at = formulas.counter(CongruenceSpec(n, coeffs, 0), "square")
+        targets = [b + n * rng.randrange(-3, 4) for b in range(n)]
+        targets += [rng.randrange(-5 * n, 5 * n) for _ in range(n // 3)]
+        rng.shuffle(targets)
+        want = {}
+        for b in targets:
+            spec = CongruenceSpec(n, coeffs, b)
+            if spec.b not in want:
+                want[spec.b] = _outcome(_square_per_subset_reference, spec)
+            assert _outcome(lambda _: count_at(b), spec) == want[spec.b], (n, coeffs, b)
+
+
+def test_square_counter_evaluates_each_part_once_per_residue(monkeypatch):
+    # 45 = 9 * 5: each part rounds once per residue it is asked at, so a full
+    # sweep rounds 9 + 5 times, not 2 * 45; a new counter starts from nothing
+    rounded = []
+    real = arith.round_complex_to_int
+
+    def counted(z):
+        rounded.append(z)
+        return real(z)
+
+    monkeypatch.setattr(arith, "round_complex_to_int", counted)
+    spec = CongruenceSpec(45, (1, 7, 3), 0)
+    count_at = formulas.counter(spec, "square")
+    sweep = [count_at(b) for b in range(45)]
+    assert len(rounded) == 14
+    assert [count_at(b - 90) for b in range(45)] == sweep and len(rounded) == 14
+    again = formulas.counter(spec, "square")
+    assert [again(b) for b in range(45)] == sweep and len(rounded) == 28
+
+
 def test_square_count_sees_a_patched_gauss_sum(monkeypatch):
     # nothing may be cached across calls: a patched Gauss sum changes the
     # next count of the same instance (or makes it raise)

@@ -10,6 +10,7 @@ import functools
 import itertools
 import math
 import random
+import time
 
 import pytest
 
@@ -102,14 +103,30 @@ def test_oracle_against_reference():
 
 
 def test_value_dp_small_k_against_reference():
-    # distinct: k = 1 ends on the seeded one-position state, k = 2 adds one
-    # transfer; strict order: a chain of one or two rows over n - k + 1 values
+    # distinct: k = 1 is the slot's count vector, k = 2 adds one transfer to
+    # the seeded one-position states; strict order: a chain of one or two
+    # rows over n - k + 1 values
     for n in (1, 2, 7, 30, 97):
         for coeffs in ((3,), (2, 5), (6, 1)):
             coeffs = tuple(a % n for a in coeffs)
             for restriction in ("strict-order", "distinct"):
                 got = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), restriction)
                 assert got == reference_histogram(n, coeffs, restriction), (n, coeffs, restriction)
+
+
+def test_distinct_at_one_variable_is_the_all_histogram():
+    # every 1-tuple is distinct, so the histogram is the count vector of
+    # a*x over [0, n), not a DP that adds n seeds into n*W bytes (O(n^2*W))
+    n = 10**5
+    for a in (1, 6):
+        spec = CongruenceSpec(n, (a,), 0)
+        start = time.perf_counter()
+        distinct = oracles.oracle_histogram(spec, "distinct")
+        elapsed = time.perf_counter() - start
+        assert distinct == oracles.oracle_histogram(spec, "all"), a
+        g = math.gcd(a, n)
+        assert distinct == [0 if r % g else g for r in range(n)], a
+        assert elapsed < 0.5, (a, elapsed)
 
 
 def test_distinct_dp_near_k_equals_n():
