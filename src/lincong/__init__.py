@@ -32,7 +32,6 @@ from .formulas import (
     lehmer_count,
     order_blocks_count,
     square_count,
-    square_solution_exists,
     strict_order_count,
 )
 from .model import BlockSpec, CongruenceSpec, CountResult, OracleBudget
@@ -75,7 +74,6 @@ __all__ = [
     "round_complex_to_int",
     "square_count",
     "square_indicator",
-    "square_solution_exists",
     "squares",
     "state_count",
     "strict_order_count",

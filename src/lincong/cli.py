@@ -92,16 +92,17 @@ def _budget(args) -> int:
 
 def _moduli(args, default) -> tuple[int, ...] | range:
     """The moduli of a verify grid: --n-list, else 1..--n-max, else the
-    mode's ``default``; --k-max, --jobs and --budget are checked here too."""
+    mode's ``default``; --n-max, --k-max, --jobs and --budget are checked
+    here too."""
     if args.n_list is not None:
         ns = _parse_ints(args.n_list)
+        if any(n < 1 for n in ns):
+            raise UsageError(f"moduli must be >= 1, got {args.n_list}")
     elif args.n_max is not None:
         ns = range(1, args.n_max + 1)
     else:
         ns = default
-    if any(n < 1 for n in ns):
-        raise UsageError(f"moduli must be >= 1, got {args.n_list or args.n_max}")
-    _at_least_one(args, "k_max", "jobs", "budget")
+    _at_least_one(args, "n_max", "k_max", "jobs", "budget")
     return ns
 
 
@@ -129,7 +130,6 @@ class _Mode(NamedTuple):
     restriction: str | None  # a name of oracles.RESTRICTIONS; None for ramanujan
     verify_grid: Callable  # args -> [(n, params)] in lexicographic order
     golden: tuple  # (n, params, b, count) cases that selftest checks
-    count_budget: bool = False  # count's counter reads --budget (square's charge)
 
 
 def _parse_coeffs(args):
@@ -261,7 +261,6 @@ MODE_TABLE = {
             _moduli(args, (3, 5, 7, 9, 15, 25, 27, 45)), args.k_max or 3, lambda n: (1, 2, 3, 5)
         ),
         golden=((27, (None, (1, 1)), 1, 4), (9, (None, (1, 1)), 3, 0), (9, (None, (1, 1)), 2, 3)),
-        count_budget=True,  # charges 2^k subset products per residue, or at even n the oracle
     ),
     "strict": _Mode(
         parse=_parse_strict,
@@ -425,7 +424,9 @@ def cmd_count(args) -> int:
         raise UsageError("count requires -n")
     _at_least_one(args, "budget")
     mode = MODE_TABLE[args.mode]
-    if args.budget is not None and not mode.count_budget:
+    # only square's counter reads a budget: 2^k subset products per residue,
+    # or at even n the oracle fallback
+    if args.budget is not None and mode.restriction != "square":
         raise UsageError(f"mode {args.mode} takes no --budget")
     t0 = time.perf_counter_ns()
     params = mode.parse(args)

@@ -37,9 +37,8 @@ which gives the same table, so the a of one gcd class share one build.
 square_count alone builds its counter at every call: a cache keyed on the
 prime power alone would keep serving terms computed before a patched
 epsilon or Gauss sum, which the self-test's mutation check relies on
-seeing.  The subset-sum check keeps its own two entries, for a
-check made just before its counter is built.  Every counter is verified
-against the independent oracle histograms in the test suite.
+seeing.  Every counter is verified against the independent oracle
+histograms in the test suite.
 """
 
 from __future__ import annotations
@@ -217,64 +216,6 @@ def _square(spec: CongruenceSpec):
     return at
 
 
-def square_solution_exists(
-    spec: CongruenceSpec, budget: OracleBudget | None = None
-) -> tuple[bool, tuple[int, ...] | None]:
-    """Decide existence of a square solution, with a witness when one exists.
-
-    A tuple of squares solves the congruence exactly when it does so modulo
-    every p^e exactly dividing n, so each prime power is solved alone: by
-    _square_witness_by_class for odd p and k <= 20, else (or when no subset
-    qualifies) by the first solution the oracle lists, charged to ``budget``
-    (a default OracleBudget per listing when None).  The answer is
-    (False, None) at the first prime power with no local solution; else the
-    local witnesses are glued by CRT and the witness is verified by
-    substitution, so a false positive is impossible.
-    """
-    local_witnesses = []
-    for p, e in arith.factorize(spec.n).factors:
-        local = CongruenceSpec(p**e, spec.coeffs, spec.b)
-        found = _square_witness_by_class(local, p) if p > 2 and spec.k <= 20 else None
-        hits = [found] if found else oracles.oracle_solutions(local, "square", budget, limit=1)
-        if not hits:
-            return False, None
-        local_witnesses.append((p**e, hits[0]))
-    witness = tuple(_crt([(w[i], mod) for mod, w in local_witnesses], spec.n)
-                    for i in range(spec.k))
-    lhs = sum(a * x for a, x in zip(spec.coeffs, witness)) % spec.n
-    if lhs != spec.b or not all(characters.square_indicator(spec.n, x) for x in witness):
-        raise ConsistencyError(f"witness {witness} failed verification")
-    return True, witness
-
-
-def _square_witness_by_class(local: CongruenceSpec, p: int) -> tuple[int, ...] | None:
-    """A square solution modulo the odd prime power local.n = p^e when the
-    target b is a unit: the first subset of positions (by size, then
-    lexicographic) whose coefficient sum s is a unit with (s/p) = (b/p)
-    takes the square s^(-1)*b, the other positions 0.  None when b is not a
-    unit or no subset qualifies."""
-    mod, b, coeffs = local.n, local.b, local.coeffs
-    if b % p == 0:
-        return None
-    target_class = arith.jacobi_symbol(b % p, p)
-    for size in range(1, local.k + 1):
-        for subset in itertools.combinations(range(local.k), size):
-            s = sum(coeffs[i] for i in subset) % mod
-            if s % p and arith.jacobi_symbol(s % p, p) == target_class:
-                val = pow(s, -1, mod) * b % mod
-                return tuple(val if i in subset else 0 for i in range(local.k))
-    return None
-
-
-def _crt(residues: list[tuple[int, int]], n: int) -> int:
-    """Glue (value, modulus) pairs with coprime moduli multiplying to n."""
-    x = 0
-    for val, mod in residues:
-        rest = n // mod
-        x += val * rest * pow(rest, -1, mod)
-    return x % n
-
-
 def _engine(n: int, blocks: list[tuple[str, int, int]]):
     """The count of ordered blocks modulo n as a function of b, in integers."""
     return _by_class(*_engine_classes(n, blocks))
@@ -416,21 +357,8 @@ def subset_sum_obstruction(n: int, coeffs) -> tuple[tuple[int, ...], int] | None
     The sums of all 2**k subsets are built by doubling (bit i of a mask is
     position i), and one pass walks the proper subsets in the order above,
     one gcd each, up to the first obstruction; the masks of that walk come
-    from a table per k.  At n = 1 every gcd is 1, so nothing is built.  The
-    outcome is cached per (n, coefficient tuple).
+    from a table per k.  At n = 1 every gcd is 1, so nothing is built.
     """
-    return _subset_sum_obstruction(n, tuple(coeffs))
-
-
-@lru_cache(maxsize=8)  # a verify grid goes through k = 1..k_max at every n
-def _subset_walk(k: int) -> tuple[int, ...]:
-    """The masks of the proper nonempty subsets of k positions, in walk order."""
-    walk = (itertools.combinations(range(k), size) for size in range(1, k))
-    return tuple(sum(1 << i for i in subset) for subset in itertools.chain.from_iterable(walk))
-
-
-@lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
-def _subset_sum_obstruction(n: int, coeffs: tuple[int, ...]):
     if n == 1:
         return None
     sums = [0]
@@ -440,6 +368,13 @@ def _subset_sum_obstruction(n: int, coeffs: tuple[int, ...]):
         if math.gcd(sums[mask], n) != 1:
             return tuple(i for i in range(len(coeffs)) if mask >> i & 1), sums[mask]
     return None
+
+
+@lru_cache(maxsize=8)  # a verify grid goes through k = 1..k_max at every n
+def _subset_walk(k: int) -> tuple[int, ...]:
+    """The masks of the proper nonempty subsets of k positions, in walk order."""
+    walk = (itertools.combinations(range(k), size) for size in range(1, k))
+    return tuple(sum(1 << i for i in subset) for subset in itertools.chain.from_iterable(walk))
 
 
 def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
@@ -464,7 +399,7 @@ def _distinct_gcd(n: int, coeffs: tuple[int, ...]):
     k = len(coeffs)
     if k > 20:
         raise DomainError(f"subset hypothesis check limited to k <= 20, got {k}")
-    obstruction = _subset_sum_obstruction(n, coeffs)
+    obstruction = subset_sum_obstruction(n, coeffs)
     if obstruction is not None:
         subset, s = obstruction
         raise DomainError(f"subset {subset} has sum {s} with gcd({s}, {n}) > 1")

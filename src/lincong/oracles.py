@@ -159,31 +159,28 @@ def oracle_solutions(
     spec: CongruenceSpec,
     restriction: str = "square",
     budget: OracleBudget | None = None,
-    limit: int | None = None,
 ) -> list[tuple[int, ...]]:
-    """The solutions themselves in lexicographic order, for witness listings:
-    all of them, or the first ``limit`` (at least 0).  Supports the
-    unordered restrictions (every slot draws from one domain); counting
-    under the ordered restrictions goes through the histograms.  state_count
-    is charged first.  The walk fills the positions left to right, entering a
-    value only when the packed histogram of the later positions reaches the
-    rest of the target, so every value entered leads to a solution."""
+    """The solutions themselves in lexicographic order, for witness listings.
+    Supports the unordered restrictions (every slot draws from one domain);
+    counting under the ordered restrictions goes through the histograms.
+    state_count is charged first.  The walk fills the positions left to
+    right, entering a value only when the packed histogram of the later
+    positions (the fold of their coefficients, last first) reaches the rest
+    of the target, so every value entered leads to a solution."""
     _check_restriction(restriction)
     if restriction not in ("all", "square"):
         raise DomainError(f"solution listing not supported for {restriction!r}")
-    if limit is not None and limit < 0:
-        raise DomainError(f"limit must be >= 0, got {limit}")
     if budget is None:
         budget = OracleBudget()
     total, domain = _admitted(spec, restriction)
     budget.charge(total)
     n, width = spec.n, (total.bit_length() + 7) // 8
-    after = [1]  # after[i]: the packed histogram of the positions after i, as n*W bytes
-    for a in spec.coeffs[:0:-1]:
-        after.append(_convolve(n, width, [after[-1], _count_vector(n, width, a, domain)]))
+    last_first = spec.coeffs[::-1]
+    # after[i]: the packed histogram of the positions after i, as n*W bytes
+    after = [1] + [_fold(n, width, last_first[:j], domain) for j in range(1, spec.k)]
     after = [v.to_bytes(n * width, "little") for v in reversed(after)]
     hits, stack = [], [((), spec.b)]  # (prefix, the rest of the target) to enter, last first
-    while stack and (limit is None or len(hits) < limit):
+    while stack:
         prefix, rest = stack.pop()
         i = len(prefix)
         if i == spec.k:

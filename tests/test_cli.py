@@ -1,7 +1,6 @@
 """CLI contract: record formats, exit codes, determinism, sweeps."""
 
 import csv
-import functools
 import io
 import itertools
 import json
@@ -99,6 +98,8 @@ def test_usage_errors_exit_2(capsys):
     assert (code, out) == (2, "") and "invalid choice: 'bench'" in err
     # grid bounds below 1 are refused before any row is printed
     for argv in (
+        ["verify", "--mode", "all", "--n-max", "0"],
+        ["verify", "--mode", "blocks", "--n-max", "-3"],
         ["verify", "--mode", "all", "--n-max", "2", "--k-max", "0"],
         ["verify", "--mode", "blocks", "--n-max", "2", "--k-max", "0"],
         ["verify", "--mode", "strict", "--n-max", "3", "--k-max", "-1"],
@@ -232,14 +233,14 @@ def test_verify_distinct_checks_each_tuple_once(capsys, monkeypatch):
     # of its own, so only a case's counter checks its tuple, once, and
     # equal coefficients need no check; the cases printed are exactly the
     # multisets that pass the check, in grid order
-    inner = formulas._subset_sum_obstruction.__wrapped__
+    inner = formulas.subset_sum_obstruction
     calls = Counter()
 
     def counted(n, coeffs):
         calls[n, coeffs] += 1
         return inner(n, coeffs)
 
-    monkeypatch.setattr(formulas, "_subset_sum_obstruction", functools.lru_cache(2)(counted))
+    monkeypatch.setattr(formulas, "subset_sum_obstruction", counted)
     code, out, _ = run_cli(["verify", "--mode", "distinct", "--n-max", "9", "--k-max", "3"], capsys)
     *rows, summary = json_lines(out)
     assert code == 0 and summary["cases"] == len(rows) > 0

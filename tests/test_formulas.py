@@ -140,54 +140,6 @@ def test_square_corollary_agrees_with_formula():
                         assert count == hist[b], (p, ell, coeffs, b)
 
 
-def test_square_solution_exists_examples():
-    ok, witness = formulas.square_solution_exists(CongruenceSpec(9, (1, 1), 3))
-    assert not ok and witness is None
-    ok, witness = formulas.square_solution_exists(CongruenceSpec(27, (1, 1), 1))
-    assert ok and witness == (1, 0)
-    ok, witness = formulas.square_solution_exists(CongruenceSpec(9, (1, 1, 1), 6))
-    assert ok and witness is not None
-
-
-def test_square_solution_exists_never_lies():
-    # odd and even moduli, one prime power or several; every witness is
-    # substituted and each of its coordinates checked to be a square
-    for n in (3, 9, 15, 27, 45, 8, 12, 20, 36, 60, 63):
-        for k in (1, 2, 3):
-            for coeffs in itertools.combinations_with_replacement((1, 2, 3), k):
-                hist = oracles.oracle_histogram(CongruenceSpec(n, coeffs, 0), "square")
-                for b in range(n):
-                    spec = CongruenceSpec(n, coeffs, b)
-                    ok, witness = formulas.square_solution_exists(spec)
-                    assert ok == (hist[b] > 0), (n, coeffs, b)
-                    if ok:
-                        total = sum(a * x for a, x in zip(coeffs, witness)) % n
-                        assert total == b
-                        assert all(characters.square_indicator(n, x) for x in witness)
-                    else:
-                        assert witness is None
-
-
-def test_square_solution_exists_is_local():
-    # 30021 = 3 * 10007: each prime power is solved alone, where a scan of
-    # the whole modulus would be charged 10008**3 > 10**8 tuples
-    ok, witness = formulas.square_solution_exists(CongruenceSpec(30021, (1, 1, 1), 3))
-    assert ok and sum(witness) % 30021 == 3
-    assert all(characters.square_indicator(30021, x) for x in witness)
-    # n = 45, b = 21: b is 0 mod 3, so mod 9 the class condition cannot fire
-    # and the oracle lists (1, 1, 1) first; mod 5 the unit b = 1 takes the
-    # first position alone, (1, 0, 0); CRT glues them to (1, 10, 10)
-    assert formulas.square_solution_exists(CongruenceSpec(45, (1, 1, 1), 21)) == (True, (1, 10, 10))
-    # a local oracle listing is charged to the budget it is given: mod 9 it
-    # lists the 4**3 triples of squares
-    budget = OracleBudget(4**3 - 1)
-    with pytest.raises(BudgetExceededError):
-        formulas.square_solution_exists(CongruenceSpec(45, (1, 1, 1), 21), budget)
-    budget = OracleBudget(4**3)
-    assert formulas.square_solution_exists(CongruenceSpec(45, (1, 1, 1), 21), budget)[0]
-    assert budget.used == 4**3
-
-
 def test_square_counter_charges_its_subset_products():
     # odd n: 2**k subset products per residue of each prime power, charged
     # once per counter, when it is built; a refused charge keeps nothing
@@ -228,15 +180,6 @@ def test_refused_square_counter_builds_nothing(monkeypatch):
     with pytest.raises(BudgetExceededError):
         formulas.counter(CongruenceSpec(9, (1, 2), 0), "square", budget)
     assert calls == [] and budget.used == 0
-
-
-def test_square_solution_exists_answers_no_without_a_walk():
-    # mod 243 no tuple of squares hits 91: the listing ends after one pass
-    # over the first position's domain, where a walk of every tuple would
-    # visit 92**4 of them
-    t0 = time.perf_counter()
-    assert formulas.square_solution_exists(CongruenceSpec(243, (12, 134, 54, 165), 91)) == (False, None)
-    assert time.perf_counter() - t0 < 1
 
 
 def test_strict_order_examples():
@@ -395,7 +338,6 @@ def test_subset_sum_obstruction_at_n_1_walks_nothing(monkeypatch):
         raise AssertionError(f"subset walk at k = {k}")
 
     monkeypatch.setattr(formulas, "_subset_walk", refuse)
-    formulas._subset_sum_obstruction.cache_clear()
     assert formulas.subset_sum_obstruction(1, (0,) * 21) is None
 
 

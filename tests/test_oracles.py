@@ -173,20 +173,9 @@ def test_oracle_square_examples():
     assert oracles.oracle_count(BlockSpec(6, ((2, 2), (2, 3)), 5), "blocks") == 63
 
 
-def test_oracle_solutions_limit():
-    spec = CongruenceSpec(27, (1, 1), 1)
-    every = oracles.oracle_solutions(spec, "square")
-    for limit in (0, 1, 3, 4, 5):
-        assert oracles.oracle_solutions(spec, "square", limit=limit) == every[:limit]
-    budget = OracleBudget()
-    with pytest.raises(DomainError):
-        oracles.oracle_solutions(spec, "square", budget, limit=-3)
-    assert budget.used == 0
-
-
 def test_oracle_solutions_match_a_filter_of_every_tuple():
     # the pruned walk lists exactly the tuples a filter of itertools.product
-    # keeps, in its order, for every target and limit (34804 listings); at
+    # keeps, in its order, for every target (8701 listings); at
     # even n the coefficient 2 leaves targets with no solution
     for n in (*range(1, 40), 45, 64, 81):
         for restriction, domain in (("square", characters.squares(n)), ("all", range(n))):
@@ -199,9 +188,24 @@ def test_oracle_solutions_match_a_filter_of_every_tuple():
                         listed[sum(a * x for a, x in zip(coeffs, tup)) % n].append(tup)
                     for b in range(n):
                         spec = CongruenceSpec(n, coeffs, b)
-                        for limit in (None, 0, 1, 3):
-                            got = oracles.oracle_solutions(spec, restriction, limit=limit)
-                            assert got == listed[b][:limit], (spec, restriction, limit)
+                        assert oracles.oracle_solutions(spec, restriction) == listed[b], spec
+
+
+def test_oracle_solutions_answers_no_without_a_walk():
+    # mod 243 no tuple of squares hits 91: the listing ends after one pass
+    # over the first position's domain, where a walk of every tuple would
+    # visit 92**4 of them.  Those tuples are charged once, up front, and a
+    # budget one short lists nothing and keeps no charge
+    spec = CongruenceSpec(243, (12, 134, 54, 165), 91)
+    budget = OracleBudget()
+    t0 = time.perf_counter()
+    assert oracles.oracle_solutions(spec, "square", budget) == []
+    assert time.perf_counter() - t0 < 1
+    assert budget.used == 92**4 == 71639296
+    short = OracleBudget(92**4 - 1)
+    with pytest.raises(BudgetExceededError):
+        oracles.oracle_solutions(spec, "square", short)
+    assert short.used == 0
 
 
 def test_representative_independence():
