@@ -34,6 +34,9 @@ residual or error is bit for bit the same on both paths.  Those builders
 keep their last two counters, so a sweep over the targets of one instance
 builds it once.  The strict-order route asks its builder at gcd(a, n),
 which gives the same table, so the a of one gcd class share one build.
+Lehmer's count reads the coefficients only through g = gcd(n, a1, ...,
+ak), so each _lehmer instance reads the table of its (n, k, g) class from a
+cache of its own: a grid's instances of one class share one table.
 square_count alone builds its counter at every call: a cache keyed on the
 prime power alone would keep serving terms computed before a patched
 epsilon or Gauss sum, which the self-test's mutation check relies on
@@ -65,6 +68,8 @@ from .model import (
 # by gcd class; a mixed-gcd block counter holds its orbit plan and n roots,
 # O(n) values (about 15 MiB at n = 200000), which stay cached after the sweep.
 _INSTANCE_CACHE_SIZE = 2
+# Lehmer tables kept by (n, k, g): a grid at one (n, k) meets one per divisor g of n.
+_CLASS_CACHE_SIZE = 64
 
 
 def lehmer_count(spec: CongruenceSpec) -> CountResult:
@@ -75,8 +80,13 @@ def lehmer_count(spec: CongruenceSpec) -> CountResult:
 
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _lehmer(n: int, coeffs: tuple[int, ...]):
-    g = math.gcd(n, *coeffs)
-    return _by_class(g, 1, {1: g * n ** (len(coeffs) - 1)})
+    """The instance's counter: the table of its (n, k, g) class."""
+    return _lehmer_class(n, len(coeffs), math.gcd(n, *coeffs))
+
+
+@lru_cache(maxsize=_CLASS_CACHE_SIZE)
+def _lehmer_class(n: int, k: int, g: int):
+    return _by_class(g, 1, {1: g * n ** (k - 1)})
 
 
 def _by_class(f: int, g: int, counts: dict[int, int], miss: int = 0):
@@ -236,7 +246,10 @@ def _engine_classes(n: int, blocks: list[tuple[str, int, int]]):
     1 + z*e(a*t*x/n) = (1 - (-z)^(n/d))^d for strict: C(d+j-1, j) or
     (-1)^(j+k)*C(d, j), j = k*d/n, and 0 unless j is an integer.  So h runs
     over the divisors of G = gcd(n/f, k_i*gcd(a_i/f, n/f) for each i), and
-    n is never factored.  C_h(b/f) reads b/f only through d = gcd(b/f, G).
+    n is never factored.  At every h | G each j is an integer: h divides
+    k_i*r_i, r_i = gcd(a_i/f, n/f), so at each p^e exactly dividing h either
+    p^e | r_i or v_p(k_i) + v_p(r_i) >= e, and either way h | k_i*gcd(r_i, h).
+    C_h(b/f) reads b/f only through d = gcd(b/f, G).
 
     _class_sums gives T(d) = sum over h | G of c_h*C_h(d), c_h = f*prod_i w_i.
     The build raises ConsistencyError unless every T(d) is a nonnegative
@@ -253,19 +266,15 @@ def _engine_classes(n: int, blocks: list[tuple[str, int, int]]):
         r = math.gcd(a // f, m)
         bound = math.gcd(bound, k * r)
         reduced.append((kind == "strict", k, r))
-    classes = arith.divisors(bound)
-    table = dict.fromkeys(classes, 0)
-    for h in classes:
+    table = {}
+    for h in arith.divisors(bound):
         c = f
         for strict, k, r in reduced:
             g = math.gcd(r, h)
-            if k * g % h:
-                break
             d, j = n // h * g, k * g // h
             w = math.comb(d, j) if strict else math.comb(d + j - 1, j)
             c *= -w if strict and (j + k) % 2 else w
-        else:
-            table[h] = c
+        table[h] = c
     states = table[1] // f  # at h = 1 each weight counts all of its block's tuples
     _class_sums(bound, table)
     total = sum(map(mul, _cofactor_phis(bound), table.values()))
@@ -395,7 +404,11 @@ def distinct_count_gcd_condition(spec: CongruenceSpec) -> CountResult:
 @lru_cache(maxsize=_INSTANCE_CACHE_SIZE)
 def _distinct_gcd(n: int, coeffs: tuple[int, ...]):
     """The counter by whether g = gcd(a1+...+ak, n) divides b; DomainError
-    when the subset hypothesis fails or k > 20."""
+    when the subset hypothesis fails or k > 20.  Past the hypothesis, k > n
+    only at n = 1 (at n >= 2 two of the k + 1 prefix sums collide other than
+    the first and last, so a proper block sums to 0), where no tuple is
+    distinct; the form's count off g there, (-1)^k (k-1)! + 0, is never read
+    (g = 1) but negative at odd k, which CountResult refuses."""
     k = len(coeffs)
     if k > 20:
         raise DomainError(f"subset hypothesis check limited to k <= 20, got {k}")

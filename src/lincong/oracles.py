@@ -19,6 +19,14 @@ an engine ever holds counts part of the tuples the histogram counts, so the
 charged total bounds them all: W is its byte length, set once per histogram,
 and no slot carries into the next.
 
+A list of entries goes into that layout (_pack) and back (_unpack) in bulk,
+through one native array of unsigned ints: W = 1 is the bytes themselves,
+and for 2 <= W <= 8 each slot is widened to (or narrowed from) the S >= W
+bytes of the narrowest native int, one strided slice assignment per byte of
+a slot when S > W (W = 3, 5, 6, 7), then read or written in one call.  The
+layout is little-endian, so where native ints are big-endian, and past
+W = 8, each slot is converted on its own by int.from_bytes / to_bytes.
+
 A grid's cases share pieces, so each is memoized (at most _PIECES entries)
 under a key that fixes its value, (n, W) included: a slot's count vector,
 the fold of each coefficient prefix (a case convolves its prefix's fold
@@ -42,6 +50,8 @@ at most _ORBIT_BYTES): a grid meets an orbit again anywhere along its walk.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import lru_cache
 
 from . import characters
@@ -57,6 +67,11 @@ _PIECES = 64
 # so the cache holds at most _ORBITS * _ORBIT_BYTES = 16 MiB.
 _ORBITS = 1024
 _ORBIT_BYTES = 1 << 14
+# W -> (S, type code): the narrowest native unsigned int of S >= W bytes, for
+# 2 <= W <= 8, through which _unpack and _pack convert a packed histogram in
+# bulk.  Empty where native ints are big-endian, as the packed slots are not.
+_NATIVE = {} if sys.byteorder != "little" else {
+    w: min((array(c).itemsize, c) for c in "HILQ" if array(c).itemsize >= w) for w in range(2, 9)}
 
 
 def _check_restriction(restriction: str) -> None:
@@ -200,9 +215,40 @@ def _domain(n: int, restriction: str):
 
 
 def _unpack(n: int, width: int, packed: int) -> list[int]:
-    """The n entries of a packed histogram, W = width bytes each."""
+    """The n entries of a packed histogram, W = width bytes each, in bulk:
+    W = 1 is the bytes themselves, 2 <= W <= 8 one read as native S-byte
+    ints, the slots widened to S bytes first when S > W.  Past W = 8, or
+    where native ints are big-endian (_NATIVE empty), slot by slot."""
     data = packed.to_bytes(n * width, "little")
-    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+    if width == 1:
+        return list(data)
+    if width not in _NATIVE:
+        return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+    size, code = _NATIVE[width]
+    if size != width:
+        wide = bytearray(n * size)
+        for j in range(width):
+            wide[j::size] = data[j::width]
+        data = wide
+    return memoryview(data).cast(code).tolist()
+
+
+def _pack(width: int, entries: list[int]) -> int:
+    """_unpack in reverse: the entries, each below 256**W, packed W = width
+    bytes a slot, written as one native array of S-byte ints and narrowed
+    to W bytes a slot when S > W.  Past W = 8, or where _NATIVE is empty,
+    slot by slot."""
+    if width == 1:
+        return int.from_bytes(bytes(entries), "little")
+    if width not in _NATIVE:
+        return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in entries), "little")
+    size, code = _NATIVE[width]
+    data = array(code, entries).tobytes()
+    if size != width:
+        wide, data = data, bytearray(len(entries) * width)
+        for j in range(width):
+            data[j::width] = wide[j::size]
+    return int.from_bytes(data, "little")
 
 
 @lru_cache(maxsize=_PIECES)
@@ -228,7 +274,7 @@ def _count_vector(n: int, width: int, a: int, domain) -> int:
     vec = [0] * n
     for x in domain:
         vec[a * x % n] += 1
-    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in vec), "little")
+    return _pack(width, vec)
 
 
 def _convolve(n: int, width: int, vectors: list[int]) -> int:

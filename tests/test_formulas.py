@@ -52,6 +52,23 @@ def test_lehmer_examples():
     assert oracles.oracle_count(spec, "all") == 12
 
 
+def test_lehmer_builds_one_table_per_gcd_class():
+    # the all grid's shape at n = 12, k <= 3 (every multiset of coefficients
+    # in [0, 12)): a cold pass builds one table per (n, k, g) class, g =
+    # gcd(n, a1, ..., ak), and each instance's counts are its oracle histogram
+    formulas._lehmer.cache_clear()
+    formulas._lehmer_class.cache_clear()
+    n, classes = 12, set()
+    for k in (1, 2, 3):
+        for coeffs in itertools.combinations_with_replacement(range(n), k):
+            spec = CongruenceSpec(n, coeffs, 0)
+            at = formulas.counter(spec, "all")
+            assert [at(b).count for b in range(n)] == oracles.oracle_histogram(spec, "all")
+            classes.add((k, math.gcd(n, *coeffs)))
+    assert len(classes) == 3 * len(arith.divisors(n))
+    assert formulas._lehmer_class.cache_info().misses == len(classes)
+
+
 def test_square_count_paper_values():
     assert formulas.square_count(CongruenceSpec(27, (1, 1), 1)).count == 4
     assert formulas.square_count(CongruenceSpec(9, (1, 1), 3)).count == 0
@@ -296,6 +313,9 @@ def test_distinct_gcd_condition_examples():
     assert formulas.distinct_count_gcd_condition(CongruenceSpec(7, (1, 1), 1)).count == 6
     # Schoenemann's prime case: sum of coefficients divisible by p
     assert formulas.distinct_count_gcd_condition(CongruenceSpec(5, (1, 2, 2), 0)).count == 20
+    # more variables than residues: perm(0, k-1) = 0 distinct tuples at n = 1
+    for k in (2, 3):
+        assert formulas.distinct_count_gcd_condition(CongruenceSpec(1, (0,) * k, 0)).count == 0
 
 
 def test_distinct_gcd_condition_names_violation():

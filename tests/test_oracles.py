@@ -354,17 +354,26 @@ def clear_pieces():
         piece.cache_clear()
 
 
+def slot_unpack(n, width, packed):
+    """_unpack's reference: one int.from_bytes per slot."""
+    data = packed.to_bytes(n * width, "little")
+    return [int.from_bytes(data[i:i + width], "little") for i in range(0, n * width, width)]
+
+
+def slot_pack(width, entries):
+    """_pack's reference: one to_bytes per slot."""
+    return int.from_bytes(b"".join(c.to_bytes(width, "little") for c in entries), "little")
+
+
 def test_strict_push_forward_equals_the_direct_chain():
     # equal coefficients push the a = 1 sums forward to a*s; the reference
-    # is the chain over (a,)*k with its own offset, unpacked here
+    # is the chain over (a,)*k with its own offset, unpacked slot by slot
     for n in range(1, 21):
         for k in range(1, min(n, 5) + 1):
             width = (math.comb(n, k).bit_length() + 7) // 8
             for a in range(n):
                 packed = oracles._chain(n, width, (a,) * k, n - k + 1, a * k * (k - 1) // 2)
-                data = packed.to_bytes(n * width, "little")
-                direct = [int.from_bytes(data[i:i + width], "little")
-                          for i in range(0, n * width, width)]
+                direct = slot_unpack(n, width, packed)
                 hist = oracles.oracle_histogram(CongruenceSpec(n, (a,) * k, 0), "strict-order")
                 assert hist == direct, (n, k, a)
 
@@ -400,6 +409,37 @@ def test_piece_caches_key_on_width_domain_and_size():
     for width in (1, 2):
         packed = oracles._orbit_dp(7, width, (1, 2))
         assert oracles._unpack(7, width, packed) == reference_histogram(7, (1, 2), "distinct")
+
+
+@pytest.mark.parametrize("native", ["bulk", "per-slot"])
+@pytest.mark.parametrize("width", [*range(1, 10), 16])
+def test_bulk_conversion_matches_per_slot_conversion(width, native, monkeypatch):
+    # _unpack and _pack go through one native array, widening or narrowing
+    # each slot at W = 3, 5, 6, 7; past W = 8, and with _NATIVE emptied as on
+    # a big-endian host, they convert slot by slot.  Either way the lists and
+    # ints are the per-slot conversion's, with 0 and 256**W - 1 at both ends
+    if native == "per-slot":
+        monkeypatch.setattr(oracles, "_NATIVE", {})
+    rng = random.Random(width)
+    top = 256 ** width - 1
+    for n in (1, 2, 3, 17, 1000):
+        for first, last in ((0, top), (top, 0)):
+            entries = [rng.randrange(top + 1) for _ in range(n)]
+            entries[0], entries[-1] = first, last
+            packed = slot_pack(width, entries)
+            assert oracles._pack(width, entries) == packed, (n, first)
+            assert oracles._unpack(n, width, packed) == entries, (n, first)
+            assert slot_unpack(n, width, packed) == entries
+        if n > top:  # a count of n > 255 does not fit W = 1
+            continue
+        oracles._count_vector.cache_clear()
+        for a in {0, 1, 2, 7 % n}:
+            for domain in (range(n), characters.squares(n)):
+                counts = [0] * n
+                for x in domain:
+                    counts[a * x % n] += 1
+                assert oracles._count_vector(n, width, a, domain) == slot_pack(width, counts)
+    oracles._count_vector.cache_clear()
 
 
 def test_cached_pieces_are_charged_on_every_call():
